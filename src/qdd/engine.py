@@ -26,7 +26,6 @@ from .ops import (NormDriftError, PROB_TOL, measure_all, measure_qubit,
 class EngineConfig:
     seed: int = 0
     shots: int = 1
-    gate_dd_cache_enabled: bool = True
     gc_threshold: int = 1_000_000
 
 
@@ -41,36 +40,28 @@ class SimStats:
     histogram: dict[str, int] = field(default_factory=dict)
 
 
-def gate_dd_for(uni: Universe, n: int, spec: GateSpec,
-                cache: dict | None) -> MEdge:
-    """Build (or fetch) the n-qubit diagram for one gate spec."""
-    if cache is None:
-        return build_gate_dd(uni, n, spec)
+def gate_dd_for(uni: Universe, n: int, spec: GateSpec, cache: dict) -> MEdge:
+    """Fetch the n-qubit diagram for one gate spec, building it on a miss."""
     edge = cache.get(spec)
     if edge is None:
-        edge = build_gate_dd(uni, n, spec)
-        cache[spec] = edge
+        edge = cache[spec] = build_gate_dd(uni, n, spec)
     return edge
 
 
 class _Simulation:
-    """State of one circuit execution; reusable across shots."""
+    """One Universe, RNG and gate cache, shared by every pass over the ops.
 
-    def __init__(self, circuit: Circuit, config: EngineConfig,
-                 uni: Universe | None = None, rng: random.Random | None = None,
-                 gate_cache: dict | None = None):
+    Peak stats accumulate over all passes; ``gates_applied`` and the final
+    norm deviation describe the latest pass.
+    """
+
+    def __init__(self, circuit: Circuit, config: EngineConfig):
         self.circuit = circuit
         self.config = config
-        self.uni = uni if uni is not None else Universe()
-        self.rng = rng if rng is not None else random.Random(config.seed)
-        if gate_cache is not None:
-            self.gate_cache = gate_cache
-        else:
-            self.gate_cache = {} if config.gate_dd_cache_enabled else None
+        self.uni = Universe()
+        self.rng = random.Random(config.seed)
+        self.gate_cache: dict = {}
         self.stats = SimStats(n_qubits=circuit.n_qubits)
-        self.state: VEdge = self.uni.basis_state(circuit.n_qubits,
-                                                 "0" * circuit.n_qubits)
-        self._note_state()
 
     def _note_state(self) -> None:
         st = self.stats
@@ -104,12 +95,14 @@ class _Simulation:
 
     def _maybe_gc(self) -> None:
         if self.uni.live_nodes > self.config.gc_threshold:
-            roots = [self.state]
-            if self.gate_cache:
-                roots.extend(self.gate_cache.values())
-            self.uni.gc_collect(roots)
+            self.uni.gc_collect([self.state, *self.gate_cache.values()])
 
     def execute(self, on_op=None) -> VEdge:
+        """One pass over the circuit's ops, starting from |0...0>."""
+        n = self.circuit.n_qubits
+        self.state = self.uni.basis_state(n, "0" * n)
+        self.stats.gates_applied = 0
+        self._note_state()
         for index, op in enumerate(self.circuit.ops):
             self._apply(op, index)
             self._note_state()
@@ -136,16 +129,15 @@ def run(circuit: Circuit, config: EngineConfig | None = None,
     return sim.state, sim.stats
 
 
-def _trailing_measure_split(circuit: Circuit) -> int | None:
-    """Index of the first measurement when no gate follows it, else None."""
-    first = None
-    for i, op in enumerate(circuit.ops):
-        if isinstance(op, (MeasureOp, MeasureAllOp)):
-            if first is None:
-                first = i
-        elif first is not None:
-            return None
-    return first if first is not None else len(circuit.ops)
+def _measures_mid_circuit(circuit: Circuit) -> bool:
+    """True when a gate follows a measurement."""
+    measured = False
+    for op in circuit.ops:
+        if not isinstance(op, GateOp):
+            measured = True
+        elif measured:
+            return True
+    return False
 
 
 def sample(circuit: Circuit, config: EngineConfig | None = None) -> SimStats:
@@ -153,39 +145,24 @@ def sample(circuit: Circuit, config: EngineConfig | None = None) -> SimStats:
     bitstrings.
 
     When every measurement sits at the end of the circuit (or there is
-    none), the pre-measurement state is computed once and sampled per
-    shot; a mid-circuit measurement forces a full re-simulation per shot.
-    Either way each shot contributes one n-bit key.
+    none), the gates are simulated once and the final state is sampled
+    per shot; a mid-circuit measurement forces a full re-simulation per
+    shot. Either way each shot contributes one n-bit key.
     """
     cfg = config if config is not None else EngineConfig()
+    if cfg.shots < 1:
+        raise ValueError(f"shots must be at least 1, got {cfg.shots}")
     t0 = time.perf_counter()
-    histogram: dict[str, int] = {}
-    split = _trailing_measure_split(circuit)
-    if split is not None:
-        prefix = Circuit(circuit.n_qubits, circuit.ops[:split], circuit.name)
-        sim = _Simulation(prefix, cfg)
-        state = sim.execute()
-        stats = sim.stats
-        for _ in range(cfg.shots):
-            bits = measure_all(sim.uni, state, sim.rng)
-            histogram[bits] = histogram.get(bits, 0) + 1
-    else:
-        uni = Universe()
-        rng = random.Random(cfg.seed)
-        gate_cache: dict | None = {} if cfg.gate_dd_cache_enabled else None
-        stats = SimStats(n_qubits=circuit.n_qubits)
-        for _ in range(cfg.shots):
-            sim = _Simulation(circuit, cfg, uni=uni, rng=rng,
-                              gate_cache=gate_cache)
-            state = sim.execute()
-            bits = measure_all(uni, state, rng)
-            histogram[bits] = histogram.get(bits, 0) + 1
-            stats.gates_applied = sim.stats.gates_applied
-            stats.peak_vector_nodes = max(stats.peak_vector_nodes,
-                                          sim.stats.peak_vector_nodes)
-            stats.peak_unique_nodes = max(stats.peak_unique_nodes,
-                                          sim.stats.peak_unique_nodes)
-            stats.final_norm_deviation = sim.stats.final_norm_deviation
-    stats.histogram = histogram
-    stats.wall_time_ms = (time.perf_counter() - t0) * 1e3
-    return stats
+    resimulate = _measures_mid_circuit(circuit)
+    if not resimulate:
+        gates = tuple(op for op in circuit.ops if isinstance(op, GateOp))
+        circuit = Circuit(circuit.n_qubits, gates, circuit.name)
+    sim = _Simulation(circuit, cfg)
+    histogram = sim.stats.histogram
+    for shot in range(cfg.shots):
+        if shot == 0 or resimulate:
+            sim.execute()
+        bits = measure_all(sim.uni, sim.state, sim.rng)
+        histogram[bits] = histogram.get(bits, 0) + 1
+    sim.stats.wall_time_ms = (time.perf_counter() - t0) * 1e3
+    return sim.stats

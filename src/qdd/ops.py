@@ -190,11 +190,7 @@ def qubit_probabilities(uni: Universe, v: VEdge) -> tuple[float, float]:
     """(P(root qubit -> 0), P(root qubit -> 1)), root weight included."""
     if v.node is TERMINAL:
         raise ValueError("state has no qubits to measure")
-    rw = magnitude_squared(v.w)
-    e0, e1 = v.node.edges
-    p0 = rw * magnitude_squared(e0.w) * node_probability(uni, e0.node)
-    p1 = rw * magnitude_squared(e1.w) * node_probability(uni, e1.node)
-    return p0, p1
+    return _split(uni, v, v.node.level)
 
 
 def _check_prob_sum(p0: float, p1: float) -> None:
@@ -247,29 +243,13 @@ def _collapse(uni: Universe, v: VEdge, q: int, outcome: int, prob: float) -> VEd
     return _vedge(ct, w, collapsed.node)
 
 
-def measure_top(uni: Universe, v: VEdge, rng) -> tuple[int, VEdge]:
-    """Measure the root node's qubit; returns (outcome, collapsed state).
+def _split(uni: Universe, v: VEdge, q: int) -> tuple[float, float]:
+    """(P(qubit q -> 0), P(qubit q -> 1)) of a non-terminal state.
 
-    ``rng`` is any object with random() -> [0, 1); outcome 0 is chosen
-    when the draw falls below P(0). Raises NormDriftError when the two
-    probabilities stop summing to 1 within tolerance.
-    """
-    p0, p1 = qubit_probabilities(uni, v)
-    _check_prob_sum(p0, p1)
-    outcome, p = _pick(rng, p0, p1)
-    return outcome, _collapse(uni, v, v.node.level, outcome, p)
-
-
-def measure_qubit(uni: Universe, v: VEdge, q: int, rng) -> tuple[int, VEdge]:
-    """Measure qubit q anywhere in the diagram, without SWAP gates.
-
-    Accumulates the squared-magnitude mass reaching each level-q node,
-    splits it through the two branches, then collapses and renormalizes
-    like measure_top.
+    Accumulates the squared-magnitude mass reaching each level-q node and
+    splits it through the two branches.
     """
     ct = uni.ctab
-    if v.node is TERMINAL:
-        raise ValueError("state has no qubits to measure")
     if q < v.node.level:
         raise ValueError(f"qubit {q} above the diagram root {v.node.level}")
     mass = {v.node: magnitude_squared(v.w)}
@@ -292,6 +272,30 @@ def measure_qubit(uni: Universe, v: VEdge, q: int, rng) -> tuple[int, VEdge]:
             p0 += m * magnitude_squared(e0.w) * node_probability(uni, e0.node)
         if e1.w is not ct.zero:
             p1 += m * magnitude_squared(e1.w) * node_probability(uni, e1.node)
+    return p0, p1
+
+
+def measure_top(uni: Universe, v: VEdge, rng) -> tuple[int, VEdge]:
+    """Measure the root node's qubit; returns (outcome, collapsed state).
+
+    ``rng`` is any object with random() -> [0, 1); outcome 0 is chosen
+    when the draw falls below P(0). Raises NormDriftError when the two
+    probabilities stop summing to 1 within tolerance.
+    """
+    if v.node is TERMINAL:
+        raise ValueError("state has no qubits to measure")
+    return measure_qubit(uni, v, v.node.level, rng)
+
+
+def measure_qubit(uni: Universe, v: VEdge, q: int, rng) -> tuple[int, VEdge]:
+    """Measure qubit q anywhere in the diagram, without SWAP gates.
+
+    Splits the probability mass at level q, draws the outcome like
+    measure_top, then collapses and renormalizes.
+    """
+    if v.node is TERMINAL:
+        raise ValueError("state has no qubits to measure")
+    p0, p1 = _split(uni, v, q)
     _check_prob_sum(p0, p1)
     outcome, p = _pick(rng, p0, p1)
     return outcome, _collapse(uni, v, q, outcome, p)

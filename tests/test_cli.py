@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 
@@ -64,6 +67,15 @@ class TestRunCommand:
         code, _, err = invoke(capsys, "run", path)
         assert code == 3
         assert "norm drift" in err
+
+    def test_fewer_than_one_shot_exit_2(self, tmp_path, capsys):
+        for text in ("qubits 2\nh 0\ncx 0 1\n",
+                     "qubits 2\nh 0\nmeasure 0\ncx 0 1\n"):
+            path = write_circuit(tmp_path, text)
+            for shots in ("0", "-3"):
+                code, out, err = invoke(capsys, "run", path, "--shots", shots)
+                assert code == 2 and out == ""
+                assert "shots" in err
 
     def test_dump_state_matches_dft(self, tmp_path, capsys):
         n = 8
@@ -156,3 +168,11 @@ class TestDotCommand:
         code, _, err = invoke(capsys, "dot", path, "--gate", "5")
         assert code == 2
         assert "out of range" in err
+
+
+def test_cli_import_does_not_load_numpy():
+    # numpy is a test-only dependency: only the qdd.dense oracle needs it
+    code = "import qdd.cli, sys; assert 'numpy' not in sys.modules"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})

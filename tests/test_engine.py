@@ -134,6 +134,20 @@ class TestSample:
         assert s1.histogram == s2.histogram
         assert s1.peak_vector_nodes == s2.peak_vector_nodes
 
+    def test_stats_describe_one_pass_over_the_gates(self):
+        mid = parse("qubits 3\nh 0\ncx 0 1\nmeasure 0\nh 2\ncx 2 1\n")
+        stats = sample(mid, EngineConfig(seed=3, shots=5))
+        assert stats.gates_applied == 4
+        trailing = parse("qubits 3\nh 0\ncx 0 1\nh 2\nmeasure 1\n"
+                         "measure_all\n")
+        stats = sample(trailing, EngineConfig(seed=3, shots=50))
+        prefix = Circuit(3, trailing.ops[:3], trailing.name)
+        _, want = run(prefix, EngineConfig(seed=3))
+        assert (stats.gates_applied, stats.peak_vector_nodes,
+                stats.peak_unique_nodes) == (want.gates_applied,
+                                             want.peak_vector_nodes,
+                                             want.peak_unique_nodes)
+
     def test_grover_sampling_concentrates(self):
         from qdd import gen_grover
         marked = "10011010"
@@ -149,12 +163,6 @@ class TestGateDDCache:
         a = gate_dd_for(uni, 3, spec, cache)
         b = gate_dd_for(uni, 3, spec, cache)
         assert a == b and len(cache) == 1
-
-    def test_disabled_cache_still_correct(self):
-        c = gen_entangle(3)
-        v1, _ = state_vector(c, EngineConfig(gate_dd_cache_enabled=False))
-        v2, _ = state_vector(c, EngineConfig())
-        assert np.array_equal(v1, v2)
 
 
 class TestGc:
