@@ -73,11 +73,6 @@ class ParseError(ValueError):
         self.col = col
 
 
-_SINGLE = {k.value: k for k in (GateKind.X, GateKind.Y, GateKind.Z, GateKind.H,
-                                GateKind.S, GateKind.SDG, GateKind.T,
-                                GateKind.TDG)}
-
-
 def _int_tok(tok: str, line: int, col: int, what: str) -> int:
     try:
         return int(tok)
@@ -85,11 +80,14 @@ def _int_tok(tok: str, line: int, col: int, what: str) -> int:
         raise ParseError(f"expected {what}, got {tok!r}", line, col) from None
 
 
-def _float_tok(tok: str, line: int, col: int) -> float:
+def _angle_tok(tok: str, line: int, col: int) -> float:
     try:
-        return float(tok)
+        theta = float(tok)
     except ValueError:
         raise ParseError(f"expected an angle, got {tok!r}", line, col) from None
+    if not math.isfinite(theta):
+        raise ParseError(f"angle must be finite, got {tok!r}", line, col)
+    return theta
 
 
 def _rk_tok(tok: str, line: int, col: int) -> int:
@@ -97,6 +95,22 @@ def _rk_tok(tok: str, line: int, col: int) -> int:
     if k < 1:
         raise ParseError(f"rk order must be >= 1, got {k}", line, col)
     return k
+
+
+# Gate word -> (kind, parameter reader or None, control count: 0, 1 or
+# None for one or more). Arguments are the parameter, then the controls,
+# then the target. serialize writes a gate with the first word that fits
+# it, so "cx" comes before "mcx".
+_GATES = {
+    **{k.value: (k, None, 0) for k in GateKind
+       if k not in (GateKind.PHASE, GateKind.RK)},
+    "p": (GateKind.PHASE, _angle_tok, 0),
+    "rk": (GateKind.RK, _rk_tok, 0),
+    "cx": (GateKind.X, None, 1),
+    "cp": (GateKind.RK, _rk_tok, 1),
+    "mcx": (GateKind.X, None, None),
+    "mcz": (GateKind.Z, None, None),
+}
 
 
 def parse(text: str, name: str = "circuit") -> Circuit:
@@ -139,55 +153,31 @@ def parse(text: str, name: str = "circuit") -> Circuit:
 
         if word == "qubits":
             raise ParseError("duplicate 'qubits' header", lineno, col)
-        elif word in _SINGLE:
-            need(1)
-            ops.append(GateOp(GateSpec(_SINGLE[word],
-                                       qubit(args[0][0], lineno, args[0][1]))))
-        elif word == "p":
-            need(2)
-            theta = _float_tok(args[0][0], lineno, args[0][1])
-            ops.append(GateOp(GateSpec(GateKind.PHASE,
-                                       qubit(args[1][0], lineno, args[1][1]),
-                                       param=theta)))
-        elif word == "rk":
-            need(2)
-            k = _rk_tok(args[0][0], lineno, args[0][1])
-            ops.append(GateOp(GateSpec(GateKind.RK,
-                                       qubit(args[1][0], lineno, args[1][1]),
-                                       param=k)))
-        elif word == "cx":
-            need(2)
-            c = qubit(args[0][0], lineno, args[0][1])
-            t = qubit(args[1][0], lineno, args[1][1])
-            if c == t:
-                raise ParseError("repeated qubit in gate", lineno, col)
-            ops.append(GateOp(GateSpec(GateKind.X, t, frozenset({c}))))
-        elif word == "cp":
-            need(3)
-            k = _rk_tok(args[0][0], lineno, args[0][1])
-            c = qubit(args[1][0], lineno, args[1][1])
-            t = qubit(args[2][0], lineno, args[2][1])
-            if c == t:
-                raise ParseError("repeated qubit in gate", lineno, col)
-            ops.append(GateOp(GateSpec(GateKind.RK, t, frozenset({c}), param=k)))
-        elif word in ("mcx", "mcz"):
-            if len(args) < 2:
-                raise ParseError(f"'{word}' needs at least one control and a"
-                                 " target", lineno, col)
-            qs = [qubit(tok, lineno, c_) for tok, c_ in args]
-            controls, target = qs[:-1], qs[-1]
-            if len(set(controls)) != len(controls) or target in controls:
-                raise ParseError("repeated qubit in gate", lineno, col)
-            kind = GateKind.X if word == "mcx" else GateKind.Z
-            ops.append(GateOp(GateSpec(kind, target, frozenset(controls))))
         elif word == "measure":
             need(1)
             ops.append(MeasureOp(qubit(args[0][0], lineno, args[0][1])))
         elif word == "measure_all":
             need(0)
             ops.append(MeasureAllOp())
-        else:
+        elif word not in _GATES:
             raise ParseError(f"unknown instruction {word!r}", lineno, col)
+        else:
+            kind, read_param, n_controls = _GATES[word]
+            if n_controls is None:
+                if len(args) < 2:
+                    raise ParseError(f"'{word}' needs at least one control and"
+                                     " a target", lineno, col)
+            else:
+                need((read_param is not None) + n_controls + 1)
+            param = None
+            if read_param is not None:
+                param = read_param(args[0][0], lineno, args[0][1])
+                args = args[1:]
+            qs = [qubit(tok, lineno, c) for tok, c in args]
+            if len(set(qs)) != len(qs):
+                raise ParseError("repeated qubit in gate", lineno, col)
+            ops.append(GateOp(GateSpec(kind, qs[-1], frozenset(qs[:-1]),
+                                       param)))
 
     if n_qubits is None:
         raise ParseError("missing 'qubits <N>' header", last_line + 1, 1)
@@ -205,24 +195,16 @@ def serialize(circuit: Circuit) -> str:
         else:
             spec = op.spec
             cs = sorted(spec.controls)
-            if not cs:
-                if spec.kind is GateKind.PHASE:
-                    lines.append(f"p {spec.param!r} {spec.target}")
-                elif spec.kind is GateKind.RK:
-                    lines.append(f"rk {spec.param} {spec.target}")
-                else:
-                    lines.append(f"{spec.kind.value} {spec.target}")
-            elif spec.kind is GateKind.X:
-                if len(cs) == 1:
-                    lines.append(f"cx {cs[0]} {spec.target}")
-                else:
-                    lines.append(f"mcx {' '.join(map(str, cs))} {spec.target}")
-            elif spec.kind is GateKind.Z:
-                lines.append(f"mcz {' '.join(map(str, cs))} {spec.target}")
-            elif spec.kind is GateKind.RK and len(cs) == 1:
-                lines.append(f"cp {spec.param} {cs[0]} {spec.target}")
+            for word, (kind, read_param, n_controls) in _GATES.items():
+                if kind is spec.kind and (
+                        bool(cs) if n_controls is None
+                        else len(cs) == n_controls):
+                    break
             else:
                 raise ValueError(f"no text form for {spec!r}")
+            param = [] if read_param is None else [repr(spec.param)]
+            lines.append(" ".join([word, *param, *map(str, cs),
+                                   str(spec.target)]))
     return "\n".join(lines) + "\n"
 
 

@@ -1,7 +1,7 @@
 """Command-line front-end: run circuit files, generated benchmarks, and
 DOT renderings.
 
-Exit codes: 0 success, 2 unreadable/unparseable input, 3 norm drift.
+Exit codes: 0 success, 2 unusable input or --stats-json path, 3 norm drift.
 Reports are a single JSON object on stdout.
 """
 
@@ -11,6 +11,7 @@ import argparse
 import json
 import random
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -101,19 +102,35 @@ def _report(circuit: Circuit, cfg: EngineConfig, stats: SimStats) -> dict:
     }
 
 
+@contextmanager
+def _recursion_guard(circuit: Circuit):
+    """The diagram operations recurse once per qubit level, so Python's
+    recursion limit bounds the qubit count; report that as bad input."""
+    try:
+        yield
+    except RecursionError:
+        raise ValueError(f"{circuit.n_qubits} qubits exceed the recursion "
+                         "depth of the diagram operations") from None
+
+
 def _emit(report: dict, args: argparse.Namespace) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
     if args.stats_json:
-        Path(args.stats_json).write_text(text + "\n", encoding="utf-8")
+        try:
+            Path(args.stats_json).write_text(text + "\n", encoding="utf-8")
+        except OSError as err:
+            raise ValueError(f"cannot write {args.stats_json}: "
+                             f"{err.strerror}") from None
+    print(text)
 
 
 def _run_and_report(circuit: Circuit, args: argparse.Namespace) -> int:
     cfg = _config(args)
-    stats = sample(circuit, cfg)
-    report = _report(circuit, cfg, stats)
-    if args.dump_state and circuit.n_qubits <= 20:
-        report["state"] = _dump_state(circuit, cfg)
+    with _recursion_guard(circuit):
+        stats = sample(circuit, cfg)
+        report = _report(circuit, cfg, stats)
+        if args.dump_state and circuit.n_qubits <= 20:
+            report["state"] = _dump_state(circuit, cfg)
     _emit(report, args)
     return 0
 
@@ -157,7 +174,8 @@ def _cmd_dot(args: argparse.Namespace) -> int:
         edge = build_gate_dd(uni, circuit.n_qubits, gate_ops[args.gate].spec)
         print(export_dot(edge))
         return 0
-    state, _ = run(circuit, EngineConfig(seed=args.seed))
+    with _recursion_guard(circuit):
+        state, _ = run(circuit, EngineConfig(seed=args.seed))
     print(export_dot(state))
     return 0
 

@@ -15,6 +15,7 @@ import math
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 
+# Absolute, per component; the canonical-form contract fixes it.
 DEFAULT_TOL = 1e-10
 
 # Exact cell first; near-boundary values then unify via the neighbors.
@@ -45,7 +46,7 @@ def magnitude_squared(a: ComplexValue) -> float:
 
 
 class ComplexTable:
-    """Interning table with per-component tolerance ``tol``.
+    """Interning table with per-component tolerance ``tol`` (DEFAULT_TOL).
 
     Values are bucketed by flooring each component into tol-sized cells;
     lookups probe the neighboring cells so values straddling a cell border
@@ -57,10 +58,8 @@ class ComplexTable:
     pre-interned and stable for the table's lifetime.
     """
 
-    def __init__(self, tol: float = DEFAULT_TOL):
-        if not 0.0 < tol < 1.0:
-            raise ValueError(f"tolerance out of range: {tol!r}")
-        self.tol = tol
+    def __init__(self):
+        self.tol = DEFAULT_TOL
         self._cells: dict[tuple[int, int], ComplexValue] = {}
         self._count = 0
         self.zero = self.intern(0.0, 0.0)

@@ -46,38 +46,29 @@ class Terminal:
 TERMINAL = Terminal()
 
 
-class VectorNode:
+class Node:
+    """A nonterminal: its level and successor edges, two for a vector node
+    (e0, e1) and four for a matrix node (e00, e01, e10, e11)."""
+
     __slots__ = ("level", "edges", "idx")
 
-    def __init__(self, level: int, edges: tuple["VEdge", "VEdge"], idx: int):
+    def __init__(self, level: int, edges: tuple["Edge", ...], idx: int):
         self.level = level
         self.edges = edges
         self.idx = idx
 
     def __repr__(self) -> str:
-        return f"<VectorNode q{self.level} #{self.idx}>"
-
-
-class MatrixNode:
-    __slots__ = ("level", "edges", "idx")
-
-    def __init__(self, level: int, edges: tuple["MEdge", ...], idx: int):
-        self.level = level
-        self.edges = edges  # (e00, e01, e10, e11)
-        self.idx = idx
-
-    def __repr__(self) -> str:
-        return f"<MatrixNode q{self.level} #{self.idx}>"
+        return f"<Node q{self.level} #{self.idx}>"
 
 
 class VEdge(NamedTuple):
     w: ComplexValue
-    node: Union[VectorNode, Terminal]
+    node: Union[Node, Terminal]
 
 
 class MEdge(NamedTuple):
     w: ComplexValue
-    node: Union[MatrixNode, Terminal]
+    node: Union[Node, Terminal]
 
 
 Edge = Union[VEdge, MEdge]
@@ -107,17 +98,17 @@ class ComputeCache:
 class Universe:
     """Node storage and construction for one simulation.
 
-    Holds the complex table, per-level unique tables for vector and
-    matrix nodes, and the compute cache. All diagram construction goes
-    through make_vector_node / make_matrix_node, which normalize and
-    deduplicate.
+    Holds the complex table, one unique table per level, and the compute
+    cache. Vector nodes are keyed by their edge pair and matrix nodes by
+    their edge 4-tuple, so both kinds share a level's table without
+    colliding. All diagram construction goes through make_vector_node /
+    make_matrix_node, which normalize and deduplicate.
     """
 
-    def __init__(self, tol: float = 1e-10):
-        self.ctab = ComplexTable(tol)
+    def __init__(self):
+        self.ctab = ComplexTable()
         self.cache = ComputeCache()
-        self._vtables: dict[int, dict] = {}
-        self._mtables: dict[int, dict] = {}
+        self._tables: dict[int, dict] = {}
         self._node_seq = 0
 
     # -- bookkeeping ----------------------------------------------------
@@ -125,8 +116,7 @@ class Universe:
     @property
     def live_nodes(self) -> int:
         """Distinct nodes currently held by the unique tables."""
-        return (sum(len(t) for t in self._vtables.values())
-                + sum(len(t) for t in self._mtables.values()))
+        return sum(len(t) for t in self._tables.values())
 
     def vector_zero(self) -> VEdge:
         return VEdge(self.ctab.zero, TERMINAL)
@@ -134,12 +124,16 @@ class Universe:
     def matrix_zero(self) -> MEdge:
         return MEdge(self.ctab.zero, TERMINAL)
 
-    def _next_idx(self) -> int:
-        idx = self._node_seq
-        self._node_seq += 1
-        return idx
-
     # -- node construction ----------------------------------------------
+
+    def _unique(self, level: int, key: tuple) -> Node:
+        """The level's node for the edge tuple ``key``, created on a miss."""
+        table = self._tables.setdefault(level, {})
+        node = table.get(key)
+        if node is None:
+            node = table[key] = Node(level, key, self._node_seq)
+            self._node_seq += 1
+        return node
 
     def make_vector_node(self, level: int, e0: VEdge, e1: VEdge) -> VEdge:
         """Build (or find) the normalized node for the pair (e0, e1).
@@ -168,13 +162,7 @@ class Universe:
             else:
                 r = ct.cdiv(e1.w, d)
                 e1 = VEdge(zero, TERMINAL) if r is zero else VEdge(r, e1.node)
-        table = self._vtables.setdefault(level, {})
-        key = (e0, e1)
-        node = table.get(key)
-        if node is None:
-            node = VectorNode(level, key, self._next_idx())
-            table[key] = node
-        return VEdge(d, node)
+        return VEdge(d, self._unique(level, (e0, e1)))
 
     def make_matrix_node(self, level: int, e00: MEdge, e01: MEdge,
                          e10: MEdge, e11: MEdge) -> MEdge:
@@ -197,13 +185,7 @@ class Universe:
                 edges[i] = MEdge(zero, TERMINAL) if r is zero else MEdge(r, e.node)
         if d is None:
             return MEdge(zero, TERMINAL)
-        table = self._mtables.setdefault(level, {})
-        key = tuple(edges)
-        node = table.get(key)
-        if node is None:
-            node = MatrixNode(level, key, self._next_idx())
-            table[key] = node
-        return MEdge(d, node)
+        return MEdge(d, self._unique(level, tuple(edges)))
 
     # -- vector construction and readout ---------------------------------
 
@@ -324,40 +306,35 @@ class Universe:
         Invalidates the compute cache. Never called implicitly by the
         construction paths, so peak statistics stay deterministic.
         """
-        live: set = set()
-        stack = [r.node for r in roots]
-        while stack:
-            node = stack.pop()
-            if node is TERMINAL or node in live:
-                continue
-            live.add(node)
-            for e in node.edges:
-                if e.node is not TERMINAL:
-                    stack.append(e.node)
-        freed = 0
-        for tables in (self._vtables, self._mtables):
-            for table in tables.values():
-                dead = [k for k, nd in table.items() if nd not in live]
-                freed += len(dead)
-                for k in dead:
-                    del table[k]
+        live = _reachable(roots)
+        before = self.live_nodes
+        for level, table in self._tables.items():
+            self._tables[level] = {k: nd for k, nd in table.items() if nd in live}
         self.cache.clear()
-        return freed
+        return before - self.live_nodes
 
 
-def count_nodes(edge: Edge) -> int:
-    """Number of distinct nonterminal nodes reachable from ``edge``."""
-    seen: set = set()
-    stack = [edge.node]
+def _reachable(roots: Iterable[Edge]) -> dict[Node, None]:
+    """The distinct nonterminal nodes reachable from ``roots``, as dict keys
+    in depth-first preorder: successors are pushed in edge order and the
+    last pushed is visited first. export_dot numbers nodes in this order.
+    """
+    seen: dict[Node, None] = {}
+    stack = [r.node for r in roots]
     while stack:
         node = stack.pop()
         if node is TERMINAL or node in seen:
             continue
-        seen.add(node)
+        seen[node] = None
         for e in node.edges:
             if e.node is not TERMINAL:
                 stack.append(e.node)
-    return len(seen)
+    return seen
+
+
+def count_nodes(edge: Edge) -> int:
+    """Number of distinct nonterminal nodes reachable from ``edge``."""
+    return len(_reachable((edge,)))
 
 
 def _format_weight(w: ComplexValue) -> str:
@@ -381,20 +358,9 @@ def export_dot(edge: Edge) -> str:
         '  __root [shape=point, label=""];',
         '  __t [shape=box, label="1"];',
     ]
-    ids: dict = {}
-    order: list = []
-    stack = [edge.node]
-    while stack:
-        node = stack.pop()
-        if node is TERMINAL or node in ids:
-            continue
-        ids[node] = f"n{len(ids)}"
-        order.append(node)
-        for e in node.edges:
-            if e.node is not TERMINAL:
-                stack.append(e.node)
-    for node in order:
-        lines.append(f'  {ids[node]} [label="q{node.level}"];')
+    ids = {node: f"n{i}" for i, node in enumerate(_reachable((edge,)))}
+    for node, name in ids.items():
+        lines.append(f'  {name} [label="q{node.level}"];')
 
     stubs = 0
 
@@ -410,8 +376,8 @@ def export_dot(edge: Edge) -> str:
             lines.append(f'  {src} -> {dest} [label="{_format_weight(e.w)}"];')
 
     emit("__root", edge)
-    for node in order:
+    for node, name in ids.items():
         for e in node.edges:
-            emit(ids[node], e)
+            emit(name, e)
     lines.append("}")
     return "\n".join(lines)

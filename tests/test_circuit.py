@@ -89,16 +89,46 @@ class TestParse:
             parse("qubits 2\nx two\n")
         assert (err.value.line, err.value.col) == (2, 3)
 
+    def test_non_finite_angle(self):
+        for tok in ("nan", "inf", "-inf", "1e999"):
+            with pytest.raises(ParseError, match="finite") as err:
+                parse(f"qubits 1\np {tok} 0\n")
+            assert (err.value.line, err.value.col) == (2, 3)
+
 
 class TestSerialize:
     def test_roundtrip_by_hand(self):
         text = "qubits 3\nh 0\ncp 2 1 0\nmcz 0 1 2\nmeasure_all\n"
         assert serialize(parse(text)) == text
 
+    def test_every_word_as_text(self):
+        ops = [GateOp(GateSpec(kind, i % 4)) for i, kind in enumerate(
+            (GateKind.X, GateKind.Y, GateKind.Z, GateKind.H, GateKind.S,
+             GateKind.SDG, GateKind.T, GateKind.TDG))]
+        ops += [
+            GateOp(GateSpec(GateKind.PHASE, 1, param=0.1 + 0.2)),
+            GateOp(GateSpec(GateKind.RK, 2, param=3)),
+            GateOp(GateSpec(GateKind.X, 1, frozenset({3}))),
+            GateOp(GateSpec(GateKind.X, 2, frozenset({3, 0}))),
+            GateOp(GateSpec(GateKind.RK, 0, frozenset({2}), param=4)),
+            GateOp(GateSpec(GateKind.Z, 3, frozenset({1}))),
+            GateOp(GateSpec(GateKind.Z, 0, frozenset({3, 1, 2}))),
+            MeasureOp(2),
+            MeasureAllOp(),
+        ]
+        text = ("qubits 4\nx 0\ny 1\nz 2\nh 3\ns 0\nsdg 1\nt 2\ntdg 3\n"
+                "p 0.30000000000000004 1\nrk 3 2\ncx 3 1\nmcx 0 3 2\n"
+                "cp 4 2 0\nmcz 1 3\nmcz 1 2 3 0\nmeasure 2\nmeasure_all\n")
+        circuit = Circuit(4, ops)
+        assert serialize(circuit) == text
+        assert parse(text) == circuit
+
     def test_unserializable_spec_rejected(self):
-        c = Circuit(2, (GateOp(GateSpec(GateKind.H, 0, frozenset({1}))),))
-        with pytest.raises(ValueError):
-            serialize(c)
+        for spec in (GateSpec(GateKind.H, 0, frozenset({1})),
+                     GateSpec(GateKind.RK, 0, frozenset({1, 2}), param=2),
+                     GateSpec(GateKind.PHASE, 0, frozenset({1}), param=0.5)):
+            with pytest.raises(ValueError, match="no text form"):
+                serialize(Circuit(3, (GateOp(spec),)))
 
     @settings(max_examples=60)
     @given(data=st.data())

@@ -11,6 +11,74 @@ from qdd import NormDriftError
 from _util import dft_matrix
 
 BELL_MEASURE = "qubits 2\nh 0\ncx 0 1\nmeasure 0\n"
+DEEP = "qubits 1200\nh 0\ncx 0 1199\n"
+
+DOT_HEAD = """digraph dd {
+  ordering=out;
+  __root [shape=point, label=""];
+  __t [shape=box, label="1"];
+"""
+# Nodes are numbered in depth-first preorder, last successor edge first.
+DOT_BELL = DOT_HEAD + """  n0 [label="q0"];
+  n1 [label="q1"];
+  n2 [label="q1"];
+  __root -> n0 [label="0.707107+0i"];
+  n0 -> n2 [label="1+0i"];
+  n0 -> n1 [label="1+0i"];
+  z0 [shape=box, label="0"];
+  n1 -> z0;
+  n1 -> __t [label="1+0i"];
+  n2 -> __t [label="1+0i"];
+  z1 [shape=box, label="0"];
+  n2 -> z1;
+}
+"""
+DOT_GHZ3 = DOT_HEAD + """  n0 [label="q0"];
+  n1 [label="q1"];
+  n2 [label="q2"];
+  n3 [label="q1"];
+  n4 [label="q2"];
+  __root -> n0 [label="0.707107+0i"];
+  n0 -> n3 [label="1+0i"];
+  n0 -> n1 [label="1+0i"];
+  z0 [shape=box, label="0"];
+  n1 -> z0;
+  n1 -> n2 [label="1+0i"];
+  z1 [shape=box, label="0"];
+  n2 -> z1;
+  n2 -> __t [label="1+0i"];
+  n3 -> n4 [label="1+0i"];
+  z2 [shape=box, label="0"];
+  n3 -> z2;
+  n4 -> __t [label="1+0i"];
+  z3 [shape=box, label="0"];
+  n4 -> z3;
+}
+"""
+DOT_CX = DOT_HEAD + """  n0 [label="q0"];
+  n1 [label="q1"];
+  n2 [label="q1"];
+  __root -> n0 [label="1+0i"];
+  n0 -> n2 [label="1+0i"];
+  z0 [shape=box, label="0"];
+  n0 -> z0;
+  z1 [shape=box, label="0"];
+  n0 -> z1;
+  n0 -> n1 [label="1+0i"];
+  z2 [shape=box, label="0"];
+  n1 -> z2;
+  n1 -> __t [label="1+0i"];
+  n1 -> __t [label="1+0i"];
+  z3 [shape=box, label="0"];
+  n1 -> z3;
+  n2 -> __t [label="1+0i"];
+  z4 [shape=box, label="0"];
+  n2 -> z4;
+  z5 [shape=box, label="0"];
+  n2 -> z5;
+  n2 -> __t [label="1+0i"];
+}
+"""
 
 
 def invoke(capsys, *argv):
@@ -107,6 +175,21 @@ class TestRunCommand:
         assert code == 0
         assert json.loads(out_path.read_text()) == json.loads(out)
 
+    def test_unwritable_stats_json_exit_2(self, tmp_path, capsys):
+        path = write_circuit(tmp_path, BELL_MEASURE)
+        bad = str(tmp_path / "missing" / "report.json")
+        code, out, err = invoke(capsys, "run", path, "--stats-json", bad)
+        assert code == 2 and out == ""
+        assert err == f"error: cannot write {bad}: No such file or directory\n"
+
+    def test_too_deep_for_recursion_exit_2(self, tmp_path, capsys):
+        path = write_circuit(tmp_path, DEEP)
+        for argv in (("run", path), ("dot", path)):
+            code, out, err = invoke(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("error: 1200 qubits exceed")
+            assert err.count("\n") == 1
+
     def test_determinism_byte_identical_minus_timing(self, tmp_path, capsys):
         path = write_circuit(tmp_path, BELL_MEASURE)
         reports = []
@@ -150,18 +233,18 @@ class TestBenchCommand:
 
 class TestDotCommand:
     def test_state_rendering(self, tmp_path, capsys):
-        path = write_circuit(tmp_path, "qubits 2\nh 0\ncx 0 1\n")
-        code, out, _ = invoke(capsys, "dot", path)
-        assert code == 0
-        assert out.startswith("digraph")
-        assert '[label="q0"]' in out
+        for text, want in (("qubits 2\nh 0\ncx 0 1\n", DOT_BELL),
+                           ("qubits 3\nh 0\ncx 0 1\ncx 1 2\n", DOT_GHZ3)):
+            path = write_circuit(tmp_path, text)
+            code, out, _ = invoke(capsys, "dot", path)
+            assert code == 0
+            assert out == want
 
     def test_gate_rendering(self, tmp_path, capsys):
         path = write_circuit(tmp_path, "qubits 2\nh 0\ncx 0 1\n")
         code, out, _ = invoke(capsys, "dot", path, "--gate", "1")
         assert code == 0
-        assert '[label="q1"]' in out
-        assert '[shape=box, label="0"]' in out
+        assert out == DOT_CX
 
     def test_gate_index_out_of_range(self, tmp_path, capsys):
         path = write_circuit(tmp_path, "qubits 1\nh 0\n")

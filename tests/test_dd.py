@@ -234,7 +234,7 @@ class TestInvariants:
             a = rng.normal(size=8) + 1j * rng.normal(size=8)
             uni.build_vector(list(a))
         seen = set()
-        for level, table in uni._vtables.items():
+        for level, table in uni._tables.items():
             for key, node in table.items():
                 sig = (level, key)
                 assert sig not in seen
