@@ -149,6 +149,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     n = args.n
+    if n < 1:
+        raise ValueError(f"qubit count must be at least 1, got {n}")
     if args.family == "entangle":
         circuit = gen_entangle(n)
     elif args.family == "qft":

@@ -22,9 +22,10 @@ Diagrams are reduced and normalized:
 * an all-zero sub-block is the canonical zero edge (weight 0, straight to
   the terminal), never a node.
 
-A Universe owns the unique tables, the complex table, and the operation
-caches. It is single-owner: one simulation, one thread. Edges are only
-meaningful within the universe that created them.
+A Universe owns the unique tables, the complex table, the operation
+caches and the identity chains that gate diagrams share. It is
+single-owner: one simulation, one thread. Edges are only meaningful
+within the universe that created them.
 """
 
 from __future__ import annotations
@@ -98,17 +99,20 @@ class ComputeCache:
 class Universe:
     """Node storage and construction for one simulation.
 
-    Holds the complex table, one unique table per level, and the compute
-    cache. Vector nodes are keyed by their edge pair and matrix nodes by
-    their edge 4-tuple, so both kinds share a level's table without
-    colliding. All diagram construction goes through make_vector_node /
-    make_matrix_node, which normalize and deduplicate.
+    Holds the complex table, one unique table per level, the compute
+    cache and the identity chains (identity_chain), which gc_collect
+    drops with the cache so that no swept node is reused. Vector nodes are
+    keyed by their edge pair and matrix nodes by their edge 4-tuple, so
+    both kinds share a level's table without colliding. All diagram
+    construction goes through make_vector_node / make_matrix_node (or its
+    shortcut make_diagonal_node), which normalize and deduplicate.
     """
 
     def __init__(self):
         self.ctab = ComplexTable()
         self.cache = ComputeCache()
         self._tables: dict[int, dict] = {}
+        self._chains: dict[int, tuple[MEdge, ...]] = {}
         self._node_seq = 0
 
     # -- bookkeeping ----------------------------------------------------
@@ -186,6 +190,24 @@ class Universe:
         if d is None:
             return MEdge(zero, TERMINAL)
         return MEdge(d, self._unique(level, tuple(edges)))
+
+    def identity_chain(self, n: int) -> tuple[MEdge, ...]:
+        """``chain[l]`` is the identity over levels l..n-1 of n qubits and
+        ``chain[n]`` the terminal edge; built once, kept until gc_collect."""
+        chain = self._chains.get(n)
+        if chain is None:
+            links = [MEdge(self.ctab.one, TERMINAL)]
+            for level in range(n - 1, -1, -1):
+                links.append(self.make_diagonal_node(level, links[-1]))
+            chain = self._chains[n] = tuple(reversed(links))
+        return chain
+
+    def make_diagonal_node(self, level: int, e: MEdge) -> MEdge:
+        """make_matrix_node(level, e, zero, zero, e) for a nonzero ``e`` from
+        a lower level, where cdiv(e.w, e.w) is exactly the interned 1."""
+        link = MEdge(self.ctab.one, e.node)
+        zero = self.matrix_zero()
+        return MEdge(e.w, self._unique(level, (link, zero, zero, link)))
 
     # -- vector construction and readout ---------------------------------
 
@@ -303,14 +325,16 @@ class Universe:
     def gc_collect(self, roots: Iterable[Edge]) -> int:
         """Drop nodes unreachable from ``roots``; returns the freed count.
 
-        Invalidates the compute cache. Never called implicitly by the
-        construction paths, so peak statistics stay deterministic.
+        Invalidates the compute cache and the identity chains. Never called
+        implicitly by the construction paths, so peak statistics stay
+        deterministic.
         """
         live = _reachable(roots)
         before = self.live_nodes
         for level, table in self._tables.items():
             self._tables[level] = {k: nd for k, nd in table.items() if nd in live}
         self.cache.clear()
+        self._chains.clear()
         return before - self.live_nodes
 
 

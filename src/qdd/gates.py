@@ -6,11 +6,15 @@ conjugation. Y is included for gate-set completeness even though the
 core set is X/Z/H plus phases.
 
 build_gate_dd assembles the n-qubit diagram bottom-up without ever
-forming a dense matrix: below the target it carries the four quadrant
-tracks of the base matrix (identity-extended at plain levels, gated into
-the e11 quadrant at control levels, with the untouched identity chain in
-e00), joins them at the target level, and wraps controls/identity above.
-The result has at most 2n nodes regardless of the control count.
+forming a dense matrix. Below the target's lowest lower control, each
+quadrant track of the base matrix is its entry times the identity chain
+that the Universe shares among gates; from there up to the target the
+tracks are identity-extended at plain levels and gated into e11 at
+control levels (identity in e00); the target joins them and each level
+above adds one node. The result has at most 2n nodes when no control
+sits below the target, else at most 4n: such a level can hold the
+identity and three distinct tracks. For every kind but H a zero diagonal
+or off-diagonal merges or drops one of them, so 3n.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .cvalue import SQRT2_INV
-from .dd import MEdge, TERMINAL, Universe
+from .dd import MEdge, Universe
 
 
 class GateKind(Enum):
@@ -90,14 +94,10 @@ def base2x2(kind: GateKind, param: float | int | None = None):
 
 
 def identity_dd(uni: Universe, n: int) -> MEdge:
-    """Identity over n qubits: a chain of n nodes."""
+    """Identity over n qubits: a chain of n nodes, shared per universe."""
     if n < 0:
         raise ValueError("qubit count must be nonnegative")
-    zero = uni.matrix_zero()
-    e = MEdge(uni.ctab.one, TERMINAL)
-    for level in range(n - 1, -1, -1):
-        e = uni.make_matrix_node(level, e, zero, zero, e)
-    return e
+    return uni.identity_chain(n)[0]
 
 
 def build_gate_dd(uni: Universe, n: int, spec: GateSpec) -> MEdge:
@@ -109,30 +109,32 @@ def build_gate_dd(uni: Universe, n: int, spec: GateSpec) -> MEdge:
             raise ValueError(f"control {c} out of range for n={n}")
     ct = uni.ctab
     zero = uni.matrix_zero()
-    u = base2x2(spec.kind, spec.param)
-    tracks = [MEdge(ct.intern(u[i][j].real, u[i][j].imag), TERMINAL)
-              for i in (0, 1) for j in (0, 1)]
-    ident = MEdge(ct.one, TERMINAL)
-    e = None
-    for level in range(n - 1, -1, -1):
-        if level > spec.target:
-            if level in spec.controls:
-                # input/output 0 on a control: the gate never fires, so
-                # the untouched identity chain sits in e00.
-                tracks = [
-                    uni.make_matrix_node(level, ident if i == j else zero,
-                                         zero, zero, tracks[2 * i + j])
-                    for i in (0, 1) for j in (0, 1)
-                ]
-            else:
-                tracks = [uni.make_matrix_node(level, t, zero, zero, t)
-                          for t in tracks]
-        elif level == spec.target:
-            e = uni.make_matrix_node(level, *tracks)
+    chain = uni.identity_chain(n)
+    target, controls = spec.target, spec.controls
+    # Below the lowest control under the target every level is plain, so
+    # each nonzero quadrant track is its entry times the identity chain.
+    low = max((c for c in controls if c > target), default=target)
+    tracks = []
+    for row in base2x2(spec.kind, spec.param):
+        for a in row:
+            w = ct.intern(a.real, a.imag)
+            tracks.append(zero if w is ct.zero else MEdge(w, chain[low + 1].node))
+    for level in range(low, target, -1):
+        for k, t in enumerate(tracks):
+            if level not in controls:
+                if t.w is not ct.zero:
+                    tracks[k] = uni.make_diagonal_node(level, t)
+            # input/output 0 on a control: the gate never fires, so the
+            # diagonal tracks take the identity in e00, the others zero
+            elif k in (0, 3):
+                tracks[k] = uni.make_matrix_node(level, chain[level + 1],
+                                                 zero, zero, t)
+            elif t.w is not ct.zero:
+                tracks[k] = uni.make_matrix_node(level, zero, zero, zero, t)
+    e = uni.make_matrix_node(target, *tracks)
+    for level in range(target - 1, -1, -1):
+        if level in controls:
+            e = uni.make_matrix_node(level, chain[level + 1], zero, zero, e)
         else:
-            if level in spec.controls:
-                e = uni.make_matrix_node(level, ident, zero, zero, e)
-            else:
-                e = uni.make_matrix_node(level, e, zero, zero, e)
-        ident = uni.make_matrix_node(level, ident, zero, zero, ident)
+            e = uni.make_diagonal_node(level, e)
     return e

@@ -79,6 +79,21 @@ def assert_canonical(uni: Universe, edge) -> None:
                 stack.append(e.node)
 
 
+def assert_interned(uni: Universe, edge) -> None:
+    """Every node reachable from ``edge`` is the one its level's unique
+    table holds for its edges, so no two live nodes share a key."""
+    seen = set()
+    stack = [edge.node]
+    while stack:
+        node = stack.pop()
+        if node is TERMINAL or node in seen:
+            continue
+        seen.add(node)
+        assert uni._tables[node.level].get(node.edges) is node, \
+            f"node at level {node.level} is not the table's node for its key"
+        stack.extend(e.node for e in node.edges)
+
+
 def assert_valid_state(uni: Universe, edge, tol: float = 1e-8) -> None:
     assert_canonical(uni, edge)
     assert abs(norm_squared(uni, edge) - 1.0) < tol

@@ -230,6 +230,13 @@ class TestBenchCommand:
         code, _, err = invoke(capsys, "bench", "qft", "4", "--input", "0")
         assert code == 2
 
+    def test_fewer_than_one_qubit_exit_2(self, capsys):
+        for family in ("entangle", "qft", "grover"):
+            for n in ("0", "-1"):
+                code, out, err = invoke(capsys, "bench", family, n)
+                assert code == 2 and out == ""
+                assert err == f"error: qubit count must be at least 1, got {n}\n"
+
 
 class TestDotCommand:
     def test_state_rendering(self, tmp_path, capsys):

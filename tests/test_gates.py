@@ -7,7 +7,8 @@ import qdd.dense as dense
 from qdd import (GateKind, GateSpec, Universe, base2x2, build_gate_dd,
                  count_nodes, identity_dd, multiply, norm_squared)
 
-from _util import dd_matrix_to_array, dd_to_array, random_state
+from _util import (assert_interned, dd_matrix_to_array, dd_to_array,
+                   random_gate_spec, random_state)
 
 S = 1 / math.sqrt(2)
 
@@ -114,13 +115,66 @@ class TestBuildGateDD:
             assert count_nodes(build_gate_dd(uni, n, spec)) <= 2 * n
 
     def test_linear_size_any_control_placement(self, uni):
-        # with controls below the target the canonical form needs three
-        # distinct sub-matrices per such level (identity, the not-all-ones
-        # diagonal, the all-ones selector), so the tight bound is ~3n
-        for n in (4, 8, 16, 32):
-            spec = GateSpec(GateKind.X, n // 2,
-                            frozenset(q for q in range(n) if q != n // 2))
-            assert count_nodes(build_gate_dd(uni, n, spec)) <= 3 * n
+        # a level between the target and a control below it holds the
+        # identity plus up to three distinct tracks (the two diagonal ones
+        # and the off-diagonal pair); X's zero diagonal merges two of them
+        for kind, per_level in ((GateKind.X, 3), (GateKind.H, 4)):
+            for n in (4, 8, 16, 32):
+                spec = GateSpec(kind, n // 2,
+                                frozenset(q for q in range(n) if q != n // 2))
+                assert count_nodes(build_gate_dd(uni, n, spec)) <= per_level * n
+
+    def test_canonical_against_dense_decomposition(self, uni):
+        # one universe, several qubit counts: the shared identity chains
+        # must not leak between them
+        rng = np.random.default_rng(21)
+        placements = set()
+        for _ in range(120):
+            n = int(rng.integers(1, 7))
+            spec = random_gate_spec(rng, n)
+            placements.add((any(c < spec.target for c in spec.controls),
+                            any(c > spec.target for c in spec.controls)))
+            want = uni.build_matrix(dense.controlled_gate(n, spec))
+            assert build_gate_dd(uni, n, spec) == want
+        assert len(placements) == 4
+        for n in range(1, 5):
+            assert identity_dd(uni, n) == uni.build_matrix(np.eye(1 << n))
+
+    def test_rebuilt_after_gc_stays_canonical(self, uni):
+        rng = np.random.default_rng(22)
+        specs = [random_gate_spec(rng, 5) for _ in range(12)]
+        for spec in specs:
+            build_gate_dd(uni, 5, spec)
+        uni.gc_collect([])
+        for spec in specs:
+            e = build_gate_dd(uni, 5, spec)
+            assert_interned(uni, e)
+            assert e == uni.build_matrix(dense.controlled_gate(5, spec))
+        assert_interned(uni, identity_dd(uni, 5))
+
+    @pytest.mark.parametrize("target,controls", [
+        (0, ()), (20, ()), (47, ()), (30, (2, 11)),
+        (0, (1,)), (10, (5, 12, 40)), (20, tuple(range(21, 48))),
+    ])
+    def test_build_cost_on_warm_universe(self, uni, target, controls):
+        # the identity chain is built once per universe, so a build only
+        # pays for the levels from its lowest lower control up to the root
+        n = 48
+        identity_dd(uni, n)
+        calls = 0
+
+        def counting(make):
+            def call(*args):
+                nonlocal calls
+                calls += 1
+                return make(*args)
+            return call
+
+        uni.make_matrix_node = counting(uni.make_matrix_node)
+        uni.make_diagonal_node = counting(uni.make_diagonal_node)
+        build_gate_dd(uni, n, GateSpec(GateKind.H, target, frozenset(controls)))
+        low = max((c for c in controls if c > target), default=target)
+        assert calls <= 4 * (low - target) + target + 1
 
     def test_index_out_of_range(self, uni):
         with pytest.raises(ValueError):
@@ -132,7 +186,6 @@ class TestBuildGateDD:
 class TestGateProperties:
     def test_unitarity_preserved_on_random_states(self, uni):
         rng = np.random.default_rng(6)
-        from _util import random_gate_spec
         for n in (3, 6, 8):
             v = uni.build_vector(list(random_state(rng, n)))
             for _ in range(8):
