@@ -79,21 +79,29 @@ class ComputeCache:
     """Memo tables for the diagram operations.
 
     Keys embed operand identities (nodes and interned weight handles), so
-    a hit returns exactly the edge recomputation would produce. The whole
-    cache is dropped whenever the universe garbage-collects, because node
-    identities may be reused afterwards.
+    a hit returns exactly the edge recomputation would produce.
+    Measurement keeps two: ``split`` maps (root node, root weight, qubit)
+    to the outcome probabilities, and ``collapse`` maps (qubit, outcome)
+    to a per-node rebuild memo, so a state that a later shot measures
+    again costs a lookup. The whole cache, these memos included, is
+    dropped whenever the universe garbage-collects, because a memoized
+    result may name a swept node.
     """
 
     def __init__(self):
         self.add: dict = {}
         self.mult: dict = {}
         self.prob: dict = {}
+        self.collapse: dict = {}
+        self.split: dict = {}
         self.ops_count = 0  # recursion-entry counter for cost assertions
 
     def clear(self) -> None:
         self.add.clear()
         self.mult.clear()
         self.prob.clear()
+        self.collapse.clear()
+        self.split.clear()
 
 
 class Universe:
@@ -101,7 +109,9 @@ class Universe:
 
     Holds the complex table, one unique table per level, the compute
     cache and the identity chains (identity_chain), which gc_collect
-    drops with the cache so that no swept node is reused. Vector nodes are
+    drops with the cache so that no swept node is reused; the chain nodes
+    that survive a collection stay in ``identity_nodes``, which multiply
+    passes through unchanged. Vector nodes are
     keyed by their edge pair and matrix nodes by their edge 4-tuple, so
     both kinds share a level's table without colliding. All diagram
     construction goes through make_vector_node / make_matrix_node (or its
@@ -113,14 +123,16 @@ class Universe:
         self.cache = ComputeCache()
         self._tables: dict[int, dict] = {}
         self._chains: dict[int, tuple[MEdge, ...]] = {}
+        self.identity_nodes: set[Node] = set()
         self._node_seq = 0
+        self._live = 0
 
     # -- bookkeeping ----------------------------------------------------
 
     @property
     def live_nodes(self) -> int:
         """Distinct nodes currently held by the unique tables."""
-        return sum(len(t) for t in self._tables.values())
+        return self._live
 
     def vector_zero(self) -> VEdge:
         return VEdge(self.ctab.zero, TERMINAL)
@@ -137,6 +149,7 @@ class Universe:
         if node is None:
             node = table[key] = Node(level, key, self._node_seq)
             self._node_seq += 1
+            self._live += 1
         return node
 
     def make_vector_node(self, level: int, e0: VEdge, e1: VEdge) -> VEdge:
@@ -200,6 +213,7 @@ class Universe:
             for level in range(n - 1, -1, -1):
                 links.append(self.make_diagonal_node(level, links[-1]))
             chain = self._chains[n] = tuple(reversed(links))
+            self.identity_nodes.update(e.node for e in links[1:])
         return chain
 
     def make_diagonal_node(self, level: int, e: MEdge) -> MEdge:
@@ -325,17 +339,19 @@ class Universe:
     def gc_collect(self, roots: Iterable[Edge]) -> int:
         """Drop nodes unreachable from ``roots``; returns the freed count.
 
-        Invalidates the compute cache and the identity chains. Never called
-        implicitly by the construction paths, so peak statistics stay
-        deterministic.
+        Invalidates the compute cache and the identity chains, and keeps
+        only the live identity nodes. Never called implicitly by the
+        construction paths, so peak statistics stay deterministic.
         """
         live = _reachable(roots)
-        before = self.live_nodes
+        before = self._live
         for level, table in self._tables.items():
             self._tables[level] = {k: nd for k, nd in table.items() if nd in live}
+        self._live = sum(len(t) for t in self._tables.values())
         self.cache.clear()
         self._chains.clear()
-        return before - self.live_nodes
+        self.identity_nodes = {nd for nd in self.identity_nodes if nd in live}
+        return before - self._live
 
 
 def _reachable(roots: Iterable[Edge]) -> dict[Node, None]:

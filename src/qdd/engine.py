@@ -62,10 +62,15 @@ class _Simulation:
         self.rng = random.Random(config.seed)
         self.gate_cache: dict = {}
         self.stats = SimStats(n_qubits=circuit.n_qubits)
+        self._node_counts: dict = {}  # state root node -> count_nodes
 
     def _note_state(self) -> None:
         st = self.stats
-        st.peak_vector_nodes = max(st.peak_vector_nodes, count_nodes(self.state))
+        root = self.state.node
+        count = self._node_counts.get(root)
+        if count is None:
+            count = self._node_counts[root] = count_nodes(self.state)
+        st.peak_vector_nodes = max(st.peak_vector_nodes, count)
         st.peak_unique_nodes = max(st.peak_unique_nodes, self.uni.live_nodes)
 
     def _apply(self, op, index: int) -> None:
@@ -96,6 +101,7 @@ class _Simulation:
     def _maybe_gc(self) -> None:
         if self.uni.live_nodes > self.config.gc_threshold:
             self.uni.gc_collect([self.state, *self.gate_cache.values()])
+            self._node_counts.clear()
 
     def execute(self, on_op=None) -> VEdge:
         """One pass over the circuit's ops, starting from |0...0>."""

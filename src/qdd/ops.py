@@ -138,6 +138,10 @@ def _mul_nodes(uni: Universe, un, vn) -> VEdge:
     if un.level != vn.level:
         raise ValueError(
             f"operands span different qubit levels: {un.level} vs {vn.level}")
+    if un in uni.identity_nodes:
+        # what the recursion returns: cmul and cdiv by the interned 1
+        # hand their other operand back unchanged
+        return VEdge(ct.one, vn)
     key = (un, vn)
     hit = cache.mult.get(key)
     if hit is not None:
@@ -210,10 +214,16 @@ def _pick(rng, p0: float, p1: float) -> tuple[int, float]:
 
 
 def _collapse(uni: Universe, v: VEdge, q: int, outcome: int, prob: float) -> VEdge:
-    """Zero-stub the losing branch of every level-q node, renormalize."""
+    """Zero-stub the losing branch of every level-q node, renormalize.
+
+    A node's rebuild depends only on (node, q, outcome), so the per-node
+    memo lives in the compute cache under (q, outcome) and outlasts the
+    call: a later shot that meets the same state reuses it. gc_collect
+    drops it with the rest of the cache.
+    """
     ct = uni.ctab
     stub = VEdge(ct.zero, TERMINAL)
-    memo: dict = {}
+    memo = uni.cache.collapse.setdefault((q, outcome), {})
 
     def rebuild(node) -> VEdge:
         got = memo.get(node)
@@ -247,8 +257,13 @@ def _split(uni: Universe, v: VEdge, q: int) -> tuple[float, float]:
     """(P(qubit q -> 0), P(qubit q -> 1)) of a non-terminal state.
 
     Accumulates the squared-magnitude mass reaching each level-q node and
-    splits it through the two branches.
+    splits it through the two branches. Memoized per (root node, root
+    weight handle, q), like the collapse.
     """
+    key = (v.node, v.w, q)
+    hit = uni.cache.split.get(key)
+    if hit is not None:
+        return hit
     ct = uni.ctab
     if q < v.node.level:
         raise ValueError(f"qubit {q} above the diagram root {v.node.level}")
@@ -272,6 +287,7 @@ def _split(uni: Universe, v: VEdge, q: int) -> tuple[float, float]:
             p0 += m * magnitude_squared(e0.w) * node_probability(uni, e0.node)
         if e1.w is not ct.zero:
             p1 += m * magnitude_squared(e1.w) * node_probability(uni, e1.node)
+    uni.cache.split[key] = (p0, p1)
     return p0, p1
 
 

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from qdd import TERMINAL, Universe, VEdge, count_nodes, export_dot
 
-from _util import assert_canonical, dd_matrix_to_array, dd_to_array
+from _util import (assert_canonical, assert_interned, dd_matrix_to_array,
+                   dd_to_array)
 
 S = 1 / math.sqrt(2)
 
@@ -229,16 +230,21 @@ class TestInvariants:
         assert direct.w is computed.w
 
     def test_unique_table_has_no_duplicates(self, uni):
+        # repeated halves and repeated builds meet the same keys again, so
+        # a lookup that misses them leaves a stale node behind
         rng = np.random.default_rng(3)
+        built = []
         for _ in range(5):
-            a = rng.normal(size=8) + 1j * rng.normal(size=8)
-            uni.build_vector(list(a))
-        seen = set()
-        for level, table in uni._tables.items():
-            for key, node in table.items():
-                sig = (level, key)
-                assert sig not in seen
-                seen.add(sig)
+            a = rng.normal(size=4) + 1j * rng.normal(size=4)
+            built += [uni.build_vector(list(np.tile(a, 2))) for _ in range(2)]
+        for roots in (built, built[::4]):
+            uni.gc_collect(roots)
+            for level, table in uni._tables.items():
+                for key, node in table.items():
+                    assert node.level == level and node.edges == key
+            assert uni.live_nodes == sum(len(t) for t in uni._tables.values())
+            for v in roots:
+                assert_interned(uni, v)
 
 
 class TestGc:
@@ -255,16 +261,37 @@ class TestGc:
         back = dd_to_array(uni, keep, 2)
         assert back[0] == pytest.approx(0.6, abs=1e-12)
 
+    def test_live_nodes_counts_the_tables(self, uni):
+        from qdd import GateKind, GateSpec, build_gate_dd
+
+        def stored():
+            return sum(len(t) for t in uni._tables.values())
+
+        rng = np.random.default_rng(4)
+        keep = uni.build_vector(list(rng.normal(size=8)))
+        for _ in range(4):
+            uni.build_vector(list(rng.normal(size=8)))
+        build_gate_dd(uni, 3, GateSpec(GateKind.H, 1, frozenset({2})))
+        assert uni.live_nodes == stored() > count_nodes(keep)
+        uni.gc_collect([keep])
+        assert uni.live_nodes == stored() == count_nodes(keep)
+        build_gate_dd(uni, 3, GateSpec(GateKind.X, 0))
+        assert uni.live_nodes == stored() > count_nodes(keep)
+
     def test_collect_clears_caches(self, uni):
-        from qdd import add
+        import random
+        from qdd import add, measure_qubit
         a = uni.build_vector([0.5, 0.5, 0.5, 0.5])
         b = uni.build_vector([0.5, -0.5, 0.5, -0.5])
         add(uni, a, b)
-        assert uni.cache.add
+        measure_qubit(uni, a, 1, random.Random(0))
+        assert uni.cache.add and uni.cache.collapse and uni.cache.split
         uni.gc_collect([a, b])
         assert not uni.cache.add
         assert not uni.cache.mult
         assert not uni.cache.prob
+        assert not uni.cache.collapse
+        assert not uni.cache.split
 
 
 class TestDot:

@@ -165,6 +165,30 @@ class TestGateDDCache:
         assert a == b and len(cache) == 1
 
 
+class TestNodeCountMemo:
+    MID = "qubits 3\nh 0\ncx 0 1\nmeasure 0\nh 2\ncx 2 1\nmeasure 2\n"
+
+    def test_each_distinct_state_counted_once(self, monkeypatch):
+        import qdd.engine as engine
+        counted = []
+        monkeypatch.setattr(engine, "count_nodes",
+                            lambda e: counted.append(e.node) or count_nodes(e))
+        sim = engine._Simulation(parse(self.MID), EngineConfig(seed=3))
+        per_op = []
+        for _ in range(40):
+            sim.execute(lambda uni, state, i: per_op.append(count_nodes(state)))
+        assert len(counted) == len(set(counted)) < len(per_op) / 4
+        assert sim.stats.peak_vector_nodes == max(per_op)
+
+    def test_memo_dropped_when_gc_fires(self):
+        from qdd.engine import _Simulation
+        sim = _Simulation(parse(self.MID), EngineConfig(seed=3, gc_threshold=0))
+        sim.execute()
+        assert sim._node_counts == {}
+        _, want = run(parse(self.MID), EngineConfig(seed=3))
+        assert sim.stats.peak_vector_nodes == want.peak_vector_nodes
+
+
 class TestGc:
     def test_low_threshold_forces_collection_and_stays_correct(self):
         c = random_circuit(np.random.default_rng(9), 5, 40)

@@ -10,8 +10,8 @@ from qdd import (GateKind, GateSpec, TERMINAL, Universe, add,
                  measure_top, multiply, node_probability, norm_squared,
                  qubit_probabilities, NormDriftError)
 
-from _util import (assert_valid_state, dd_matrix_to_array, dd_to_array,
-                   random_state)
+from _util import (assert_interned, assert_valid_state, dd_matrix_to_array,
+                   dd_to_array, random_state)
 
 S = 1 / math.sqrt(2)
 
@@ -144,8 +144,25 @@ class TestMultiply:
 
     def test_identity(self, uni):
         from qdd import identity_dd
-        v = uni.build_vector(list(random_state(np.random.default_rng(2), 3)))
-        assert multiply(uni, identity_dd(uni, 3), v) == v
+        rng = np.random.default_rng(2)
+        for n in (1, 2, 3, 5, 8):
+            for _ in range(3):
+                v = uni.build_vector(list(random_state(rng, n)))
+                assert multiply(uni, identity_dd(uni, n), v) == v
+
+    def test_identity_chain_levels_cost_one_entry(self, uni):
+        # below the target the gate's tracks are the shared identity chain;
+        # each product with a chain node is one recursion entry, not a walk
+        # down to the terminal, also for the chain nodes a GC kept alive
+        n = 48
+        for target in (0, 5, 20, 47):
+            gate = build_gate_dd(uni, n, GateSpec(GateKind.H, target))
+            v = uni.basis_state(n, "0" * n)
+            for _ in range(2):
+                uni.cache.ops_count = 0
+                multiply(uni, gate, v)
+                assert uni.cache.ops_count <= target + 3
+                uni.gc_collect([gate, v])
 
     def test_zero_short_circuit(self, uni):
         v = uni.basis_state(2, "01")
@@ -283,6 +300,47 @@ class TestMeasureQubit:
         v = uni.basis_state(2, "00")
         with pytest.raises(ValueError):
             measure_qubit(uni, v, 2, Forced(0.5))
+
+
+def _by_value(edge):
+    """An edge as nested tuples of weight components and node levels."""
+    node = edge.node
+    below = None if node is TERMINAL else (
+        node.level, tuple(_by_value(e) for e in node.edges))
+    return edge.w.re, edge.w.im, below
+
+
+class TestCollapseMemo:
+    def test_warm_remeasure_builds_no_node(self, uni, monkeypatch):
+        import qdd.ops
+        a = random_state(np.random.default_rng(41), 6)
+        v = uni.build_vector(list(a))
+        for draw in (0.0, 0.9999999):
+            first = measure_qubit(uni, v, 3, Forced(draw))
+            calls = []
+            make = uni.make_vector_node
+            prob = qdd.ops.node_probability
+            monkeypatch.setattr(uni, "make_vector_node",
+                                lambda *args: calls.append(args) or make(*args))
+            monkeypatch.setattr(qdd.ops, "node_probability",
+                                lambda *args: calls.append(args) or prob(*args))
+            again = measure_qubit(uni, v, 3, Forced(draw))
+            monkeypatch.undo()
+            assert calls == []
+            assert again == first
+            fresh = Universe()
+            want = measure_qubit(fresh, fresh.build_vector(list(a)), 3,
+                                 Forced(draw))
+            assert again[0] == want[0] == (draw > 0.5)
+            assert _by_value(again[1]) == _by_value(want[1])
+
+    def test_gc_drops_the_memo(self, uni):
+        v = uni.build_vector(list(random_state(np.random.default_rng(42), 6)))
+        _, first = measure_qubit(uni, v, 2, Forced(0.0))
+        uni.gc_collect([v])
+        _, again = measure_qubit(uni, v, 2, Forced(0.0))
+        assert_interned(uni, again)
+        assert _by_value(again) == _by_value(first)
 
 
 class TestMeasureAll:
