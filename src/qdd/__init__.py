@@ -1,8 +1,7 @@
 """Quantum circuit simulation on edge-weighted decision diagrams."""
 
 from .cvalue import ComplexTable, ComplexValue, magnitude_squared
-from .dd import (ComputeCache, MEdge, TERMINAL, Universe, VEdge, count_nodes,
-                 export_dot)
+from .dd import ComputeCache, Edge, TERMINAL, Universe, count_nodes, export_dot
 from .ops import (NormDriftError, PROB_TOL, add, kron, measure_all,
                   measure_qubit, measure_top, multiply, node_probability,
                   norm_squared, qubit_probabilities)
@@ -16,8 +15,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ComplexTable", "ComplexValue", "magnitude_squared",
-    "ComputeCache", "MEdge", "TERMINAL", "Universe", "VEdge", "count_nodes",
-    "export_dot",
+    "ComputeCache", "Edge", "TERMINAL", "Universe", "count_nodes", "export_dot",
     "NormDriftError", "PROB_TOL", "add", "kron", "measure_all",
     "measure_qubit", "measure_top", "multiply", "node_probability",
     "norm_squared", "qubit_probabilities",

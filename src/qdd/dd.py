@@ -12,15 +12,16 @@ i.e. row index = output basis state, column index = input basis state, and
 e01 is the upper-right quadrant. An entry is the product of the edge
 weights along its root-to-terminal path.
 
-Diagrams are reduced and normalized:
+Both kinds share one Edge type (weight, node) and one Node type, and
+Universe.make_node reduces and normalizes both:
 
 * structurally identical nodes are shared through a per-level unique
   table (a node with two equal successors is therefore stored once and
   shared, never skipped; every nonzero path visits every level);
 * per node, the first successor edge with a nonzero weight carries weight
   exactly the interned 1; the common factor moves to the incoming edge;
-* an all-zero sub-block is the canonical zero edge (weight 0, straight to
-  the terminal), never a node.
+* an all-zero sub-block is the universe's one zero edge (weight 0,
+  straight to the terminal), never a node.
 
 A Universe owns the unique tables, the complex table, the operation
 caches and the identity chains that gate diagrams share. It is
@@ -62,17 +63,12 @@ class Node:
         return f"<Node q{self.level} #{self.idx}>"
 
 
-class VEdge(NamedTuple):
+class Edge(NamedTuple):
+    """A weighted pointer to a node or the terminal; vector and matrix
+    diagrams share this type and differ only in their nodes' arity."""
+
     w: ComplexValue
     node: Union[Node, Terminal]
-
-
-class MEdge(NamedTuple):
-    w: ComplexValue
-    node: Union[Node, Terminal]
-
-
-Edge = Union[VEdge, MEdge]
 
 
 class ComputeCache:
@@ -108,21 +104,24 @@ class Universe:
     """Node storage and construction for one simulation.
 
     Holds the complex table, one unique table per level, the compute
-    cache and the identity chains (identity_chain), which gc_collect
-    drops with the cache so that no swept node is reused; the chain nodes
-    that survive a collection stay in ``identity_nodes``, which multiply
-    passes through unchanged. Vector nodes are
-    keyed by their edge pair and matrix nodes by their edge 4-tuple, so
-    both kinds share a level's table without colliding. All diagram
-    construction goes through make_vector_node / make_matrix_node (or its
-    shortcut make_diagonal_node), which normalize and deduplicate.
+    cache, the shared zero edge and the identity chains (identity_chain),
+    which gc_collect drops with the cache so that no swept node is reused;
+    the chain nodes that survive a collection stay in ``identity_nodes``,
+    which multiply passes through unchanged. Vector nodes are keyed by
+    their edge pair and matrix nodes by their edge 4-tuple, so both kinds
+    share a level's table without colliding. All diagram construction goes
+    through make_node (or its shortcut make_diagonal_node), which
+    normalizes and deduplicates.
     """
 
     def __init__(self):
         self.ctab = ComplexTable()
         self.cache = ComputeCache()
+        # the canonical zero edge of every diagram; edges are immutable and
+        # compare by value, so one instance serves them all
+        self.zero_edge = Edge(self.ctab.zero, TERMINAL)
         self._tables: dict[int, dict] = {}
-        self._chains: dict[int, tuple[MEdge, ...]] = {}
+        self._chains: dict[int, tuple[Edge, ...]] = {}
         self.identity_nodes: set[Node] = set()
         self._node_seq = 0
         self._live = 0
@@ -133,12 +132,6 @@ class Universe:
     def live_nodes(self) -> int:
         """Distinct nodes currently held by the unique tables."""
         return self._live
-
-    def vector_zero(self) -> VEdge:
-        return VEdge(self.ctab.zero, TERMINAL)
-
-    def matrix_zero(self) -> MEdge:
-        return MEdge(self.ctab.zero, TERMINAL)
 
     # -- node construction ----------------------------------------------
 
@@ -152,94 +145,71 @@ class Universe:
             self._live += 1
         return node
 
-    def make_vector_node(self, level: int, e0: VEdge, e1: VEdge) -> VEdge:
-        """Build (or find) the normalized node for the pair (e0, e1).
+    def make_node(self, level: int, *edges: Edge) -> Edge:
+        """Build (or find) the normalized node over ``edges``: two for a
+        vector node (e0, e1), four for a matrix node (e00, e01, e10, e11).
 
         The first nonzero weight becomes the returned edge's weight; the
-        node keeps weight 1 there and the other weight divided through.
-        Two zero operands collapse to the canonical zero edge.
+        node keeps the interned 1 there and every later weight divided
+        through it. Zero weights, and ratios that intern to zero, become
+        the zero edge; all-zero operands return it.
         """
         ct = self.ctab
         zero = ct.zero
-        for e in (e0, e1):
-            if e.node is not TERMINAL and e.node.level <= level:
-                raise ValueError(
-                    f"successor at level {e.node.level} not below level {level}")
-        if e0.w is zero:
-            if e1.w is zero:
-                return VEdge(zero, TERMINAL)
-            d = e1.w
-            e0 = VEdge(zero, TERMINAL)
-            e1 = VEdge(ct.one, e1.node)
-        else:
-            d = e0.w
-            e0 = VEdge(ct.one, e0.node)
-            if e1.w is zero:
-                e1 = VEdge(zero, TERMINAL)
-            else:
-                r = ct.cdiv(e1.w, d)
-                e1 = VEdge(zero, TERMINAL) if r is zero else VEdge(r, e1.node)
-        return VEdge(d, self._unique(level, (e0, e1)))
-
-    def make_matrix_node(self, level: int, e00: MEdge, e01: MEdge,
-                         e10: MEdge, e11: MEdge) -> MEdge:
-        """Four-successor analogue of make_vector_node."""
-        ct = self.ctab
-        zero = ct.zero
-        edges = [e00, e01, e10, e11]
+        zero_edge = self.zero_edge
         d = None
-        for i, e in enumerate(edges):
+        out = []
+        for e in edges:
             if e.node is not TERMINAL and e.node.level <= level:
                 raise ValueError(
                     f"successor at level {e.node.level} not below level {level}")
             if e.w is zero:
-                edges[i] = MEdge(zero, TERMINAL)
+                out.append(zero_edge)
             elif d is None:
                 d = e.w
-                edges[i] = MEdge(ct.one, e.node)
+                out.append(Edge(ct.one, e.node))
             else:
                 r = ct.cdiv(e.w, d)
-                edges[i] = MEdge(zero, TERMINAL) if r is zero else MEdge(r, e.node)
+                out.append(zero_edge if r is zero else Edge(r, e.node))
         if d is None:
-            return MEdge(zero, TERMINAL)
-        return MEdge(d, self._unique(level, tuple(edges)))
+            return zero_edge
+        return Edge(d, self._unique(level, tuple(out)))
 
-    def identity_chain(self, n: int) -> tuple[MEdge, ...]:
+    def identity_chain(self, n: int) -> tuple[Edge, ...]:
         """``chain[l]`` is the identity over levels l..n-1 of n qubits and
         ``chain[n]`` the terminal edge; built once, kept until gc_collect."""
         chain = self._chains.get(n)
         if chain is None:
-            links = [MEdge(self.ctab.one, TERMINAL)]
+            links = [Edge(self.ctab.one, TERMINAL)]
             for level in range(n - 1, -1, -1):
                 links.append(self.make_diagonal_node(level, links[-1]))
             chain = self._chains[n] = tuple(reversed(links))
             self.identity_nodes.update(e.node for e in links[1:])
         return chain
 
-    def make_diagonal_node(self, level: int, e: MEdge) -> MEdge:
-        """make_matrix_node(level, e, zero, zero, e) for a nonzero ``e`` from
-        a lower level, where cdiv(e.w, e.w) is exactly the interned 1."""
-        link = MEdge(self.ctab.one, e.node)
-        zero = self.matrix_zero()
-        return MEdge(e.w, self._unique(level, (link, zero, zero, link)))
+    def make_diagonal_node(self, level: int, e: Edge) -> Edge:
+        """make_node(level, e, zero, zero, e) for a nonzero ``e`` from a
+        lower level, where cdiv(e.w, e.w) is exactly the interned 1."""
+        link = Edge(self.ctab.one, e.node)
+        zero = self.zero_edge
+        return Edge(e.w, self._unique(level, (link, zero, zero, link)))
 
     # -- vector construction and readout ---------------------------------
 
-    def basis_state(self, n: int, bits: str) -> VEdge:
+    def basis_state(self, n: int, bits: str) -> Edge:
         """The computational basis state |bits>, one node per level."""
         if len(bits) != n or any(b not in "01" for b in bits):
             raise ValueError(f"need a length-{n} bitstring, got {bits!r}")
-        ct = self.ctab
-        edge = VEdge(ct.one, TERMINAL)
-        zero = VEdge(ct.zero, TERMINAL)
+        edge = Edge(self.ctab.one, TERMINAL)
+        zero = self.zero_edge
         for level in range(n - 1, -1, -1):
             if bits[level] == "0":
-                edge = self.make_vector_node(level, edge, zero)
+                edge = self.make_node(level, edge, zero)
             else:
-                edge = self.make_vector_node(level, zero, edge)
+                edge = self.make_node(level, zero, edge)
         return edge
 
-    def build_vector(self, amplitudes: Sequence[complex]) -> VEdge:
+    def build_vector(self, amplitudes: Sequence[complex]) -> Edge:
         """Decompose a dense amplitude vector (length 2^n) into a diagram.
 
         The first half of the input is the most-significant-qubit |0>
@@ -250,18 +220,18 @@ class Universe:
             raise ValueError(f"length {size} is not a power of two")
         ct = self.ctab
 
-        def build(level: int, offset: int, span: int) -> VEdge:
+        def build(level: int, offset: int, span: int) -> Edge:
             if span == 1:
                 a = complex(amplitudes[offset])
-                return VEdge(ct.intern(a.real, a.imag), TERMINAL)
+                return Edge(ct.intern(a.real, a.imag), TERMINAL)
             half = span // 2
             e0 = build(level + 1, offset, half)
             e1 = build(level + 1, offset + half, half)
-            return self.make_vector_node(level, e0, e1)
+            return self.make_node(level, e0, e1)
 
         return build(0, 0, size)
 
-    def read_amplitude(self, v: VEdge, n: int, index: int) -> complex:
+    def read_amplitude(self, v: Edge, n: int, index: int) -> complex:
         """Amplitude of basis state ``index``: the path weight product."""
         if not 0 <= index < (1 << n):
             raise ValueError(f"index {index} out of range for {n} qubits")
@@ -273,13 +243,13 @@ class Universe:
             node = e.node
         return w
 
-    def read_dense(self, v: VEdge, n: int) -> list[complex]:
+    def read_dense(self, v: Edge, n: int) -> list[complex]:
         """Expand a vector diagram back to its 2^n amplitudes (n <= 20)."""
         if n > 20:
             raise ValueError(f"read_dense caps at 20 qubits, got {n}")
         out = [0j] * (1 << n)
 
-        def fill(edge: VEdge, offset: int, scale: complex) -> None:
+        def fill(edge: Edge, offset: int, scale: complex) -> None:
             w = scale * complex(edge.w.re, edge.w.im)
             if w == 0:
                 return
@@ -296,7 +266,7 @@ class Universe:
 
     # -- matrix construction and readout ---------------------------------
 
-    def build_matrix(self, entries: Sequence[Sequence[complex]]) -> MEdge:
+    def build_matrix(self, entries: Sequence[Sequence[complex]]) -> Edge:
         """Decompose a dense 2^n x 2^n matrix into a diagram."""
         size = len(entries)
         if size == 0 or size & (size - 1):
@@ -305,12 +275,12 @@ class Universe:
             raise ValueError("matrix is not square")
         ct = self.ctab
 
-        def build(level: int, row: int, col: int, span: int) -> MEdge:
+        def build(level: int, row: int, col: int, span: int) -> Edge:
             if span == 1:
                 a = complex(entries[row][col])
-                return MEdge(ct.intern(a.real, a.imag), TERMINAL)
+                return Edge(ct.intern(a.real, a.imag), TERMINAL)
             half = span // 2
-            return self.make_matrix_node(
+            return self.make_node(
                 level,
                 build(level + 1, row, col, half),
                 build(level + 1, row, col + half, half),
@@ -320,7 +290,7 @@ class Universe:
 
         return build(0, 0, 0, size)
 
-    def read_matrix_entry(self, m: MEdge, n: int, row: int, col: int) -> complex:
+    def read_matrix_entry(self, m: Edge, n: int, row: int, col: int) -> complex:
         """Entry (row, col): row indexes the output basis state."""
         dim = 1 << n
         if not (0 <= row < dim and 0 <= col < dim):

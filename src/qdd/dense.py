@@ -47,8 +47,8 @@ def gate_matrix(kind: GateKind, param: float | int | None = None) -> np.ndarray:
     if kind is GateKind.PHASE:
         return np.array([[1, 0], [0, np.exp(1j * param)]], dtype=complex)
     if kind is GateKind.RK:
-        return np.array([[1, 0], [0, np.exp(2j * math.pi / 2 ** param)]],
-                        dtype=complex)
+        phase = math.ldexp(2 * math.pi, -param)  # 2**k overflows a float
+        return np.array([[1, 0], [0, np.exp(1j * phase)]], dtype=complex)
     raise ValueError(f"unknown gate kind {kind!r}")
 
 

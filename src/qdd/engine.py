@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 
 from .circuit import Circuit, GateOp, MeasureAllOp, MeasureOp
-from .dd import MEdge, Universe, VEdge, count_nodes
+from .dd import Edge, Universe, count_nodes
 from .gates import GateSpec, build_gate_dd
 from .ops import (NormDriftError, PROB_TOL, measure_all, measure_qubit,
                   multiply, norm_squared)
@@ -40,7 +40,7 @@ class SimStats:
     histogram: dict[str, int] = field(default_factory=dict)
 
 
-def gate_dd_for(uni: Universe, n: int, spec: GateSpec, cache: dict) -> MEdge:
+def gate_dd_for(uni: Universe, n: int, spec: GateSpec, cache: dict) -> Edge:
     """Fetch the n-qubit diagram for one gate spec, building it on a miss."""
     edge = cache.get(spec)
     if edge is None:
@@ -103,7 +103,7 @@ class _Simulation:
             self.uni.gc_collect([self.state, *self.gate_cache.values()])
             self._node_counts.clear()
 
-    def execute(self, on_op=None) -> VEdge:
+    def execute(self, on_op=None) -> Edge:
         """One pass over the circuit's ops, starting from |0...0>."""
         n = self.circuit.n_qubits
         self.state = self.uni.basis_state(n, "0" * n)
@@ -121,7 +121,7 @@ class _Simulation:
 
 
 def run(circuit: Circuit, config: EngineConfig | None = None,
-        on_op=None) -> tuple[VEdge, SimStats]:
+        on_op=None) -> tuple[Edge, SimStats]:
     """Execute the circuit once; returns (final state, stats).
 
     Measurement ops collapse the state in place. ``on_op(uni, state, i)``

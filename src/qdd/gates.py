@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .cvalue import SQRT2_INV
-from .dd import MEdge, Universe
+from .dd import Edge, Universe
 
 
 class GateKind(Enum):
@@ -89,18 +89,19 @@ def base2x2(kind: GateKind, param: float | int | None = None):
     if kind is GateKind.PHASE:
         return ((1 + 0j, 0j), (0j, cmath.exp(1j * param)))
     if kind is GateKind.RK:
-        return ((1 + 0j, 0j), (0j, cmath.exp(2j * math.pi / 2 ** param)))
+        phase = math.ldexp(2 * math.pi, -param)  # 2**k overflows a float
+        return ((1 + 0j, 0j), (0j, cmath.exp(1j * phase)))
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
-def identity_dd(uni: Universe, n: int) -> MEdge:
+def identity_dd(uni: Universe, n: int) -> Edge:
     """Identity over n qubits: a chain of n nodes, shared per universe."""
     if n < 0:
         raise ValueError("qubit count must be nonnegative")
     return uni.identity_chain(n)[0]
 
 
-def build_gate_dd(uni: Universe, n: int, spec: GateSpec) -> MEdge:
+def build_gate_dd(uni: Universe, n: int, spec: GateSpec) -> Edge:
     """n-qubit diagram of a controlled single-qubit gate."""
     if not 0 <= spec.target < n:
         raise ValueError(f"target {spec.target} out of range for n={n}")
@@ -108,7 +109,7 @@ def build_gate_dd(uni: Universe, n: int, spec: GateSpec) -> MEdge:
         if not 0 <= c < n:
             raise ValueError(f"control {c} out of range for n={n}")
     ct = uni.ctab
-    zero = uni.matrix_zero()
+    zero = uni.zero_edge
     chain = uni.identity_chain(n)
     target, controls = spec.target, spec.controls
     # Below the lowest control under the target every level is plain, so
@@ -118,7 +119,7 @@ def build_gate_dd(uni: Universe, n: int, spec: GateSpec) -> MEdge:
     for row in base2x2(spec.kind, spec.param):
         for a in row:
             w = ct.intern(a.real, a.imag)
-            tracks.append(zero if w is ct.zero else MEdge(w, chain[low + 1].node))
+            tracks.append(zero if w is ct.zero else Edge(w, chain[low + 1].node))
     for level in range(low, target, -1):
         for k, t in enumerate(tracks):
             if level not in controls:
@@ -127,14 +128,14 @@ def build_gate_dd(uni: Universe, n: int, spec: GateSpec) -> MEdge:
             # input/output 0 on a control: the gate never fires, so the
             # diagonal tracks take the identity in e00, the others zero
             elif k in (0, 3):
-                tracks[k] = uni.make_matrix_node(level, chain[level + 1],
-                                                 zero, zero, t)
+                tracks[k] = uni.make_node(level, chain[level + 1],
+                                          zero, zero, t)
             elif t.w is not ct.zero:
-                tracks[k] = uni.make_matrix_node(level, zero, zero, zero, t)
-    e = uni.make_matrix_node(target, *tracks)
+                tracks[k] = uni.make_node(level, zero, zero, zero, t)
+    e = uni.make_node(target, *tracks)
     for level in range(target - 1, -1, -1):
         if level in controls:
-            e = uni.make_matrix_node(level, chain[level + 1], zero, zero, e)
+            e = uni.make_node(level, chain[level + 1], zero, zero, e)
         else:
             e = uni.make_diagonal_node(level, e)
     return e

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 
-from .cvalue import ComplexTable, ComplexValue, magnitude_squared
-from .dd import MEdge, TERMINAL, Universe, VEdge
+from .cvalue import ComplexValue, magnitude_squared
+from .dd import Edge, TERMINAL, Universe
 
 PROB_TOL = 1e-8
 
@@ -37,15 +37,15 @@ class NormDriftError(RuntimeError):
         self.op_index = op_index
 
 
-def _vedge(ct: ComplexTable, w: ComplexValue, node) -> VEdge:
+def _edge(uni: Universe, w: ComplexValue, node) -> Edge:
     # Keep the zero edge canonical even when a product underflows the
     # interning tolerance.
-    return VEdge(w, TERMINAL) if w is ct.zero else VEdge(w, node)
+    return uni.zero_edge if w is uni.ctab.zero else Edge(w, node)
 
 
 # -- Kronecker product ---------------------------------------------------
 
-def kron(uni: Universe, a: MEdge, b: MEdge) -> MEdge:
+def kron(uni: Universe, a: Edge, b: Edge) -> Edge:
     """Tensor product with a's qubits above (more significant than) b's.
 
     Rebuilds a with every nonzero terminal-bound edge redirected to b's
@@ -54,7 +54,7 @@ def kron(uni: Universe, a: MEdge, b: MEdge) -> MEdge:
     """
     ct = uni.ctab
     if a.w is ct.zero or b.w is ct.zero:
-        return MEdge(ct.zero, TERMINAL)
+        return uni.zero_edge
     b_level = None if b.node is TERMINAL else b.node.level
     memo: dict = {}
 
@@ -67,19 +67,19 @@ def kron(uni: Universe, a: MEdge, b: MEdge) -> MEdge:
         if b_level is not None and node.level >= b_level:
             raise ValueError(
                 f"operand levels overlap: {node.level} >= {b_level}")
-        edges = [e if e.w is ct.zero else MEdge(e.w, rebuild(e.node))
+        edges = [e if e.w is ct.zero else Edge(e.w, rebuild(e.node))
                  for e in node.edges]
-        res = uni.make_matrix_node(node.level, *edges)
+        res = uni.make_node(node.level, *edges)
         # weights were normalized already, so no factor comes back up
         memo[node] = res.node
         return res.node
 
-    return MEdge(ct.cmul(a.w, b.w), rebuild(a.node))
+    return Edge(ct.cmul(a.w, b.w), rebuild(a.node))
 
 
 # -- addition --------------------------------------------------------------
 
-def add(uni: Universe, p: VEdge, q: VEdge) -> VEdge:
+def add(uni: Universe, p: Edge, q: Edge) -> Edge:
     """Component-wise sum of two vectors over the same qubit set."""
     ct = uni.ctab
     cache = uni.cache
@@ -92,7 +92,7 @@ def add(uni: Universe, p: VEdge, q: VEdge) -> VEdge:
     if pn is TERMINAL or qn is TERMINAL:
         if pn is not qn:
             raise ValueError("operands span different qubit sets")
-        return VEdge(ct.cadd(p.w, q.w), TERMINAL)
+        return Edge(ct.cadd(p.w, q.w), TERMINAL)
     if pn.level != qn.level:
         raise ValueError(
             f"operands span different qubit sets: {pn.level} vs {qn.level}")
@@ -109,56 +109,56 @@ def add(uni: Universe, p: VEdge, q: VEdge) -> VEdge:
             pe = pn.edges[i]
             qe = qn.edges[i]
             if qe.w is not ct.zero:
-                qe = _vedge(ct, ct.cmul(ratio, qe.w), qe.node)
+                qe = _edge(uni, ct.cmul(ratio, qe.w), qe.node)
             parts.append(add(uni, pe, qe))
-        hit = uni.make_vector_node(pn.level, parts[0], parts[1])
+        hit = uni.make_node(pn.level, *parts)
         cache.add[key] = hit
-    return _vedge(ct, ct.cmul(p.w, hit.w), hit.node)
+    return _edge(uni, ct.cmul(p.w, hit.w), hit.node)
 
 
 # -- matrix-vector multiplication -------------------------------------------
 
-def multiply(uni: Universe, u: MEdge, v: VEdge) -> VEdge:
+def multiply(uni: Universe, u: Edge, v: Edge) -> Edge:
     """Apply the operator u to the state v (same qubit levels)."""
     ct = uni.ctab
     if u.w is ct.zero or v.w is ct.zero:
-        return VEdge(ct.zero, TERMINAL)
+        return uni.zero_edge
     r = _mul_nodes(uni, u.node, v.node)
-    return _vedge(ct, ct.cmul(ct.cmul(u.w, v.w), r.w), r.node)
+    return _edge(uni, ct.cmul(ct.cmul(u.w, v.w), r.w), r.node)
 
 
-def _mul_nodes(uni: Universe, un, vn) -> VEdge:
+def _mul_nodes(uni: Universe, un, vn) -> Edge:
     ct = uni.ctab
     cache = uni.cache
     cache.ops_count += 1
     if un is TERMINAL or vn is TERMINAL:
         if un is not vn:
             raise ValueError("operands span different qubit levels")
-        return VEdge(ct.one, TERMINAL)
+        return Edge(ct.one, TERMINAL)
     if un.level != vn.level:
         raise ValueError(
             f"operands span different qubit levels: {un.level} vs {vn.level}")
     if un in uni.identity_nodes:
         # what the recursion returns: cmul and cdiv by the interned 1
         # hand their other operand back unchanged
-        return VEdge(ct.one, vn)
+        return Edge(ct.one, vn)
     key = (un, vn)
     hit = cache.mult.get(key)
     if hit is not None:
         return hit
     parts = []
     for i in (0, 1):
-        acc = VEdge(ct.zero, TERMINAL)
+        acc = uni.zero_edge
         for j in (0, 1):
             ue = un.edges[2 * i + j]
             ve = vn.edges[j]
             if ue.w is ct.zero or ve.w is ct.zero:
                 continue
             sub = _mul_nodes(uni, ue.node, ve.node)
-            term = _vedge(ct, ct.cmul(ct.cmul(ue.w, ve.w), sub.w), sub.node)
+            term = _edge(uni, ct.cmul(ct.cmul(ue.w, ve.w), sub.w), sub.node)
             acc = term if acc.w is ct.zero else add(uni, acc, term)
         parts.append(acc)
-    res = uni.make_vector_node(un.level, parts[0], parts[1])
+    res = uni.make_node(un.level, *parts)
     cache.mult[key] = res
     return res
 
@@ -185,12 +185,12 @@ def node_probability(uni: Universe, node) -> float:
     return p
 
 
-def norm_squared(uni: Universe, v: VEdge) -> float:
+def norm_squared(uni: Universe, v: Edge) -> float:
     """Total probability mass of the state (1 for a normalized state)."""
     return magnitude_squared(v.w) * node_probability(uni, v.node)
 
 
-def qubit_probabilities(uni: Universe, v: VEdge) -> tuple[float, float]:
+def qubit_probabilities(uni: Universe, v: Edge) -> tuple[float, float]:
     """(P(root qubit -> 0), P(root qubit -> 1)), root weight included."""
     if v.node is TERMINAL:
         raise ValueError("state has no qubits to measure")
@@ -213,7 +213,7 @@ def _pick(rng, p0: float, p1: float) -> tuple[int, float]:
     return outcome, p
 
 
-def _collapse(uni: Universe, v: VEdge, q: int, outcome: int, prob: float) -> VEdge:
+def _collapse(uni: Universe, v: Edge, q: int, outcome: int, prob: float) -> Edge:
     """Zero-stub the losing branch of every level-q node, renormalize.
 
     A node's rebuild depends only on (node, q, outcome), so the per-node
@@ -222,19 +222,19 @@ def _collapse(uni: Universe, v: VEdge, q: int, outcome: int, prob: float) -> VEd
     drops it with the rest of the cache.
     """
     ct = uni.ctab
-    stub = VEdge(ct.zero, TERMINAL)
+    stub = uni.zero_edge
     memo = uni.cache.collapse.setdefault((q, outcome), {})
 
-    def rebuild(node) -> VEdge:
+    def rebuild(node) -> Edge:
         got = memo.get(node)
         if got is not None:
             return got
         if node.level == q:
             kept = node.edges[outcome]
             if outcome == 0:
-                res = uni.make_vector_node(q, kept, stub)
+                res = uni.make_node(q, kept, stub)
             else:
-                res = uni.make_vector_node(q, stub, kept)
+                res = uni.make_node(q, stub, kept)
         else:
             parts = []
             for e in node.edges:
@@ -242,18 +242,18 @@ def _collapse(uni: Universe, v: VEdge, q: int, outcome: int, prob: float) -> VEd
                     parts.append(stub)
                 else:
                     sub = rebuild(e.node)
-                    parts.append(_vedge(ct, ct.cmul(e.w, sub.w), sub.node))
-            res = uni.make_vector_node(node.level, parts[0], parts[1])
+                    parts.append(_edge(uni, ct.cmul(e.w, sub.w), sub.node))
+            res = uni.make_node(node.level, *parts)
         memo[node] = res
         return res
 
     collapsed = rebuild(v.node)
     scale = ct.intern(1.0 / math.sqrt(prob), 0.0)
     w = ct.cmul(ct.cmul(v.w, collapsed.w), scale)
-    return _vedge(ct, w, collapsed.node)
+    return _edge(uni, w, collapsed.node)
 
 
-def _split(uni: Universe, v: VEdge, q: int) -> tuple[float, float]:
+def _split(uni: Universe, v: Edge, q: int) -> tuple[float, float]:
     """(P(qubit q -> 0), P(qubit q -> 1)) of a non-terminal state.
 
     Accumulates the squared-magnitude mass reaching each level-q node and
@@ -291,7 +291,7 @@ def _split(uni: Universe, v: VEdge, q: int) -> tuple[float, float]:
     return p0, p1
 
 
-def measure_top(uni: Universe, v: VEdge, rng) -> tuple[int, VEdge]:
+def measure_top(uni: Universe, v: Edge, rng) -> tuple[int, Edge]:
     """Measure the root node's qubit; returns (outcome, collapsed state).
 
     ``rng`` is any object with random() -> [0, 1); outcome 0 is chosen
@@ -303,7 +303,7 @@ def measure_top(uni: Universe, v: VEdge, rng) -> tuple[int, VEdge]:
     return measure_qubit(uni, v, v.node.level, rng)
 
 
-def measure_qubit(uni: Universe, v: VEdge, q: int, rng) -> tuple[int, VEdge]:
+def measure_qubit(uni: Universe, v: Edge, q: int, rng) -> tuple[int, Edge]:
     """Measure qubit q anywhere in the diagram, without SWAP gates.
 
     Splits the probability mass at level q, draws the outcome like
@@ -317,7 +317,7 @@ def measure_qubit(uni: Universe, v: VEdge, q: int, rng) -> tuple[int, VEdge]:
     return outcome, _collapse(uni, v, q, outcome, p)
 
 
-def measure_all(uni: Universe, v: VEdge, rng) -> str:
+def measure_all(uni: Universe, v: Edge, rng) -> str:
     """Sample one full bitstring from |psi|^2.
 
     Equivalent to measuring the top qubit and recursing into the observed

@@ -147,7 +147,7 @@ def test_01_worked_examples():
 
     h1 = uni.build_matrix([[S, S], [S, -S]])
     i1 = identity_dd(uni, 1)
-    i1_low = uni.make_matrix_node(1, *i1.node.edges)
+    i1_low = uni.make_node(1, *i1.node.edges)
     h_kron_i = kron(uni, h1, i1_low)
     padded = build_gate_dd(uni, 2, GateSpec(GateKind.H, 0))
     assert h_kron_i == padded  # kron and padded construction coincide

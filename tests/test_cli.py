@@ -167,6 +167,18 @@ class TestRunCommand:
         want = dft_matrix(n)[:, int(bits, 2)]
         assert np.max(np.abs(amps - want)) < 1e-9
 
+    def test_rk_order_beyond_float_range(self, tmp_path, capsys):
+        plain = "qubits 2\nh 0\nh 1\ncx 0 1\n"
+        huge = "qubits 2\nh 0\ncp 2000 0 1\nh 1\nrk 1024 1\ncx 0 1\n"
+        histograms = []
+        for text in (plain, huge):
+            path = write_circuit(tmp_path, text)
+            code, out, _ = invoke(capsys, "run", path, "--seed", "3",
+                                  "--shots", "200")
+            assert code == 0
+            histograms.append(json.loads(out)["histogram"])
+        assert histograms[0] == histograms[1]
+
     def test_stats_json_file(self, tmp_path, capsys):
         path = write_circuit(tmp_path, BELL_MEASURE)
         out_path = tmp_path / "report.json"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdd import TERMINAL, Universe, VEdge, count_nodes, export_dot
+from qdd import TERMINAL, Edge, Universe, count_nodes, export_dot
 
 from _util import (assert_canonical, assert_interned, dd_matrix_to_array,
                    dd_to_array)
@@ -23,69 +24,128 @@ def uni():
 class TestMakeVectorNode:
     def test_factor_moves_to_edge(self, uni):
         ct = uni.ctab
-        e = uni.make_vector_node(2, VEdge(ct.intern(0.5, 0), TERMINAL),
-                                 VEdge(ct.zero, TERMINAL))
+        e = uni.make_node(2, Edge(ct.intern(0.5, 0), TERMINAL),
+                          Edge(ct.zero, TERMINAL))
         assert e.w.re == 0.5
         assert e.node.edges[0].w is ct.one
         assert e.node.edges[1].w is ct.zero
 
     def test_both_zero_collapses(self, uni):
-        z = uni.vector_zero()
-        assert uni.make_vector_node(1, z, z) == z
+        z = uni.zero_edge
+        assert uni.make_node(1, z, z) == z
 
     def test_ratio_normalization(self, uni):
         ct = uni.ctab
-        e = uni.make_vector_node(0, VEdge(ct.intern(0.5, 0), TERMINAL),
-                                 VEdge(ct.neg_sqrt2_inv, TERMINAL))
+        e = uni.make_node(0, Edge(ct.intern(0.5, 0), TERMINAL),
+                          Edge(ct.neg_sqrt2_inv, TERMINAL))
         assert e.w.re == 0.5
         assert e.node.edges[0].w is ct.one
         assert e.node.edges[1].w.re == pytest.approx(-math.sqrt(2), abs=1e-12)
 
     def test_zero_left_normalizes_by_right(self, uni):
         ct = uni.ctab
-        e = uni.make_vector_node(0, uni.vector_zero(),
-                                 VEdge(ct.intern(0, 0.25), TERMINAL))
+        e = uni.make_node(0, uni.zero_edge,
+                          Edge(ct.intern(0, 0.25), TERMINAL))
         assert e.w.im == 0.25
         assert e.node.edges[1].w is ct.one
 
     def test_deduplication(self, uni):
         ct = uni.ctab
-        a = uni.make_vector_node(3, VEdge(ct.one, TERMINAL),
-                                 VEdge(ct.intern(0.5, 0), TERMINAL))
-        b = uni.make_vector_node(3, VEdge(ct.intern(2.0, 0), TERMINAL),
-                                 VEdge(ct.one, TERMINAL))
+        a = uni.make_node(3, Edge(ct.one, TERMINAL),
+                          Edge(ct.intern(0.5, 0), TERMINAL))
+        b = uni.make_node(3, Edge(ct.intern(2.0, 0), TERMINAL),
+                          Edge(ct.one, TERMINAL))
         assert a.node is b.node
         assert b.w.re == 2.0
 
     def test_level_order_enforced(self, uni):
-        inner = uni.make_vector_node(1, VEdge(uni.ctab.one, TERMINAL),
-                                     uni.vector_zero())
+        inner = uni.make_node(1, Edge(uni.ctab.one, TERMINAL), uni.zero_edge)
         with pytest.raises(ValueError):
-            uni.make_vector_node(1, inner, uni.vector_zero())
+            uni.make_node(1, inner, uni.zero_edge)
         with pytest.raises(ValueError):
-            uni.make_vector_node(2, inner, uni.vector_zero())
+            uni.make_node(2, inner, uni.zero_edge)
 
 
 class TestMakeMatrixNode:
     def test_hadamard_shape(self, uni):
         ct = uni.ctab
-        one = VEdge(ct.one, TERMINAL)
-        neg = VEdge(ct.intern(-1, 0), TERMINAL)
-        e = uni.make_matrix_node(0, one, one, one, neg)
+        one = Edge(ct.one, TERMINAL)
+        neg = Edge(ct.intern(-1, 0), TERMINAL)
+        e = uni.make_node(0, one, one, one, neg)
         assert e.w is ct.one
         assert [x.w.re for x in e.node.edges] == [1, 1, 1, -1]
 
     def test_identity_shape(self, uni):
         ct = uni.ctab
-        one = VEdge(ct.one, TERMINAL)
-        z = uni.matrix_zero()
-        e = uni.make_matrix_node(1, one, z, z, one)
+        one = Edge(ct.one, TERMINAL)
+        z = uni.zero_edge
+        e = uni.make_node(1, one, z, z, one)
         assert e.node.edges[1].node is TERMINAL
         assert e.node.edges[3].w is ct.one
 
     def test_all_zero(self, uni):
-        z = uni.matrix_zero()
-        assert uni.make_matrix_node(0, z, z, z, z) == z
+        z = uni.zero_edge
+        assert uni.make_node(0, z, z, z, z) == z
+
+
+class TestMakeNode:
+    """The one normalizer at both arities, on seeded random weights."""
+
+    @staticmethod
+    def check(uni, edges, snapped=()):
+        ct = uni.ctab
+        e = uni.make_node(0, *edges)
+        nonzero = [i for i, x in enumerate(edges) if x.w is not ct.zero]
+        if not nonzero:
+            assert e == uni.zero_edge
+            return
+        first = nonzero[0]
+        assert e.w is edges[first].w
+        assert e.node.edges[first].w is ct.one
+        w = complex(e.w.re, e.w.im)
+        for i, (x, y) in enumerate(zip(edges, e.node.edges)):
+            if x.w is ct.zero or i in snapped:
+                assert y == uni.zero_edge
+            else:
+                assert y.node is x.node
+                back = w * complex(y.w.re, y.w.im)
+                assert abs(back - complex(x.w.re, x.w.im)) < 1e-10
+        again = uni.make_node(0, *edges)
+        assert again.node is e.node and again.w is e.w
+
+    @staticmethod
+    def kids(uni, arity):
+        """Two distinct level-1 successors of the given arity."""
+        one = Edge(uni.ctab.one, TERMINAL)
+        return [uni.make_node(1, *[one] * arity).node,
+                uni.make_node(1, one, *[uni.zero_edge] * (arity - 1)).node]
+
+    @pytest.mark.parametrize("arity", [2, 4])
+    def test_random_weight_patterns(self, uni, arity):
+        ct = uni.ctab
+        rng = np.random.default_rng(100 + arity)
+        kids = self.kids(uni, arity)
+        # every zero/nonzero mask, leading zeros included; a zero weight
+        # may point at a node and must still come back as the zero edge
+        for mask in itertools.product((False, True), repeat=arity):
+            for _ in range(10):
+                edges = [Edge(ct.intern(*rng.normal(size=2)) if nz else ct.zero,
+                              kids[rng.integers(2)]) for nz in mask]
+                self.check(uni, edges)
+
+    @pytest.mark.parametrize("arity", [2, 4])
+    def test_ratio_snapping_to_zero(self, uni, arity):
+        ct = uni.ctab
+        kid, other = self.kids(uni, arity)
+        big = Edge(ct.intern(1e3, 0), kid)
+        tiny = Edge(ct.intern(0, 1e-8), other)  # tiny / big interns to 0
+        rng = np.random.default_rng(7)
+        for i, j in itertools.combinations(range(arity), 2):
+            edges = [uni.zero_edge] * arity
+            edges[i], edges[j] = big, tiny
+            for k in range(j + 1, arity):
+                edges[k] = Edge(ct.intern(*rng.normal(size=2)), kid)
+            self.check(uni, edges, snapped={j})
 
 
 class TestBuildVector:
@@ -139,7 +199,7 @@ class TestReadAmplitude:
         assert uni.read_amplitude(v, 3, 6) == pytest.approx(-S, abs=1e-12)
 
     def test_zero_edge(self, uni):
-        z = uni.vector_zero()
+        z = uni.zero_edge
         assert uni.read_amplitude(z, 3, 5) == 0
 
     def test_matches_dense_randomly(self, uni):
@@ -305,7 +365,7 @@ class TestDot:
         assert "-1.41421+0i" in dot  # the -sqrt(2) ratio edge
 
     def test_dot_zero_diagram(self, uni):
-        dot = export_dot(uni.vector_zero())
+        dot = export_dot(uni.zero_edge)
         assert '[shape=box, label="0"]' in dot
 
 

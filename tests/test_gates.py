@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -39,6 +40,18 @@ class TestBase2x2:
                            atol=1e-15)
         assert np.allclose(as_matrix(GateKind.RK, 2), as_matrix(GateKind.S),
                            atol=1e-15)
+
+    def test_rk_phase_unchanged_for_float_orders(self):
+        for k in range(1, 1024):
+            want = cmath.exp(2j * math.pi / 2 ** k)
+            assert base2x2(GateKind.RK, k)[1][1] == want
+
+    @pytest.mark.parametrize("k", [1024, 5000])
+    def test_rk_order_beyond_float_range(self, k):
+        # 2**k does not fit a float; the angle 2*pi / 2**k is (nearly) 0
+        u = as_matrix(GateKind.RK, k)
+        assert np.allclose(u, np.eye(2), atol=1e-300)
+        assert np.array_equal(dense.gate_matrix(GateKind.RK, k), u)
 
     @pytest.mark.parametrize("kind", list(GateKind))
     def test_unitary(self, kind):
@@ -170,7 +183,7 @@ class TestBuildGateDD:
                 return make(*args)
             return call
 
-        uni.make_matrix_node = counting(uni.make_matrix_node)
+        uni.make_node = counting(uni.make_node)
         uni.make_diagonal_node = counting(uni.make_diagonal_node)
         build_gate_dd(uni, n, GateSpec(GateKind.H, target, frozenset(controls)))
         low = max((c for c in controls if c > target), default=target)

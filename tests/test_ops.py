@@ -38,7 +38,7 @@ class TestKron:
         h = uni.build_matrix([[S, S], [S, -S]])
         ident = uni.build_matrix([[1, 0], [0, 1]])
         # shift the identity's level below h's
-        ident_lo = uni.make_matrix_node(1, *ident.node.edges)
+        ident_lo = uni.make_node(1, *ident.node.edges)
         got = kron(uni, h, ident_lo)
         want = S * np.array([[1, 0, 1, 0], [0, 1, 0, 1],
                              [1, 0, -1, 0], [0, 1, 0, -1]])
@@ -46,7 +46,7 @@ class TestKron:
 
     def test_scalar_right_identity(self, uni):
         h = uni.build_matrix([[S, S], [S, -S]])
-        assert kron(uni, h, MEdge_one(uni)) == h
+        assert kron(uni, h, _one_edge(uni)) == h
 
     def test_random_against_dense(self, uni):
         rng = np.random.default_rng(21)
@@ -67,17 +67,17 @@ class TestKron:
 
     def test_zero_operand(self, uni):
         a = uni.build_matrix([[1, 0], [0, 1]])
-        assert kron(uni, a, uni.matrix_zero()) == uni.matrix_zero()
+        assert kron(uni, a, uni.zero_edge) == uni.zero_edge
 
 
-def MEdge_one(uni):
-    from qdd import MEdge
-    return MEdge(uni.ctab.one, TERMINAL)
+def _one_edge(uni):
+    from qdd import Edge
+    return Edge(uni.ctab.one, TERMINAL)
 
 
 def _shift_matrix(uni, edge, offset):
     """Rebuild a matrix diagram with all levels moved down by offset."""
-    from qdd import MEdge
+    from qdd import Edge
     memo = {}
 
     def rec(node):
@@ -85,9 +85,9 @@ def _shift_matrix(uni, edge, offset):
             return node
         if node in memo:
             return memo[node]
-        edges = [e if e.w is uni.ctab.zero else MEdge(e.w, rec(e.node))
+        edges = [e if e.w is uni.ctab.zero else Edge(e.w, rec(e.node))
                  for e in node.edges]
-        res = uni.make_matrix_node(node.level + offset, *edges)
+        res = uni.make_node(node.level + offset, *edges)
         memo[node] = res.node
         return res.node
 
@@ -97,8 +97,8 @@ def _shift_matrix(uni, edge, offset):
 class TestAdd:
     def test_additive_identity(self, uni):
         v = uni.build_vector(list(np.arange(4) + 0.5))
-        assert add(uni, v, uni.vector_zero()) == v
-        assert add(uni, uni.vector_zero(), v) == v
+        assert add(uni, v, uni.zero_edge) == v
+        assert add(uni, uni.zero_edge, v) == v
 
     def test_worked_superposition(self, uni):
         a = uni.build_vector([S, 0, 0, 0])
@@ -128,7 +128,7 @@ class TestAdd:
     def test_cancellation_returns_zero_edge(self, uni):
         a = uni.build_vector([0.5, -0.25, 0, 1])
         b = uni.build_vector([-0.5, 0.25, 0, -1])
-        assert add(uni, a, b) == uni.vector_zero()
+        assert add(uni, a, b) == uni.zero_edge
 
 
 class TestMultiply:
@@ -166,7 +166,7 @@ class TestMultiply:
 
     def test_zero_short_circuit(self, uni):
         v = uni.basis_state(2, "01")
-        assert multiply(uni, uni.matrix_zero(), v) == uni.vector_zero()
+        assert multiply(uni, uni.zero_edge, v) == uni.zero_edge
 
     def test_random_step_against_dense(self, uni):
         rng = np.random.default_rng(4)
@@ -318,9 +318,9 @@ class TestCollapseMemo:
         for draw in (0.0, 0.9999999):
             first = measure_qubit(uni, v, 3, Forced(draw))
             calls = []
-            make = uni.make_vector_node
+            make = uni.make_node
             prob = qdd.ops.node_probability
-            monkeypatch.setattr(uni, "make_vector_node",
+            monkeypatch.setattr(uni, "make_node",
                                 lambda *args: calls.append(args) or make(*args))
             monkeypatch.setattr(qdd.ops, "node_probability",
                                 lambda *args: calls.append(args) or prob(*args))
@@ -383,7 +383,7 @@ class TestNormSquared:
         assert norm_squared(uni, v) == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_state(self, uni):
-        assert norm_squared(uni, uni.vector_zero()) == 0.0
+        assert norm_squared(uni, uni.zero_edge) == 0.0
 
 
 class TestCacheSoundness:
