@@ -1,8 +1,8 @@
 """Command-line front-end: run circuit files, generated benchmarks, and
-DOT renderings.
+DOT renderings. Reports are a single JSON object on stdout.
 
-Exit codes: 0 success, 2 unusable input or --stats-json path, 3 norm drift.
-Reports are a single JSON object on stdout.
+Exit codes: 0 success, 2 unusable input or --stats-json path or out of
+memory, 3 norm drift.
 """
 
 from __future__ import annotations
@@ -103,13 +103,16 @@ def _report(circuit: Circuit, cfg: EngineConfig, stats: SimStats) -> dict:
 
 
 @contextmanager
-def _recursion_guard(circuit: Circuit):
+def _recursion_guard(n: int):
     """The diagram operations recurse once per qubit level, so Python's
-    recursion limit bounds the qubit count; report that as bad input."""
+    recursion limit bounds the qubit count n; report that as bad input, on
+    entry (before any allocation) when n is at or over the limit."""
     try:
+        if n >= sys.getrecursionlimit():
+            raise RecursionError
         yield
     except RecursionError:
-        raise ValueError(f"{circuit.n_qubits} qubits exceed the recursion "
+        raise ValueError(f"{n} qubits exceed the recursion "
                          "depth of the diagram operations") from None
 
 
@@ -126,7 +129,7 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
 
 def _run_and_report(circuit: Circuit, args: argparse.Namespace) -> int:
     cfg = _config(args)
-    with _recursion_guard(circuit):
+    with _recursion_guard(circuit.n_qubits):
         stats = sample(circuit, cfg)
         report = _report(circuit, cfg, stats)
         if args.dump_state and circuit.n_qubits <= 20:
@@ -151,16 +154,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     n = args.n
     if n < 1:
         raise ValueError(f"qubit count must be at least 1, got {n}")
-    if args.family == "entangle":
-        circuit = gen_entangle(n)
-    elif args.family == "qft":
-        bits = args.input
-        if bits is None:
-            bits = "".join(random.Random(args.seed).choice("01")
-                           for _ in range(n))
-        circuit = gen_qft(n, bits)
-    else:
-        circuit = gen_grover(n, args.marked if args.marked else "1" * n)
+    with _recursion_guard(n):
+        if args.family == "entangle":
+            circuit = gen_entangle(n)
+        elif args.family == "qft":
+            bits = args.input
+            if bits is None:
+                bits = "".join(random.Random(args.seed).choice("01")
+                               for _ in range(n))
+            circuit = gen_qft(n, bits)
+        else:
+            circuit = gen_grover(n, args.marked if args.marked else "1" * n)
     return _run_and_report(circuit, args)
 
 
@@ -176,7 +180,7 @@ def _cmd_dot(args: argparse.Namespace) -> int:
         edge = build_gate_dd(uni, circuit.n_qubits, gate_ops[args.gate].spec)
         print(export_dot(edge))
         return 0
-    with _recursion_guard(circuit):
+    with _recursion_guard(circuit.n_qubits):
         state, _ = run(circuit, EngineConfig(seed=args.seed))
     print(export_dot(state))
     return 0
@@ -194,6 +198,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -15,15 +15,15 @@ weights along its root-to-terminal path.
 Both kinds share one Edge type (weight, node) and one Node type, and
 Universe.make_node reduces and normalizes both:
 
-* structurally identical nodes are shared through a per-level unique
-  table (a node with two equal successors is therefore stored once and
-  shared, never skipped; every nonzero path visits every level);
+* structurally identical nodes are shared through one unique table (a
+  node with two equal successors is therefore stored once and shared,
+  never skipped; every nonzero path visits every level);
 * per node, the first successor edge with a nonzero weight carries weight
   exactly the interned 1; the common factor moves to the incoming edge;
 * an all-zero sub-block is the universe's one zero edge (weight 0,
   straight to the terminal), never a node.
 
-A Universe owns the unique tables, the complex table, the operation
+A Universe owns the unique table, the complex table, the operation
 caches and the identity chains that gate diagrams share. It is
 single-owner: one simulation, one thread. Edges are only meaningful
 within the universe that created them.
@@ -52,12 +52,13 @@ class Node:
     """A nonterminal: its level and successor edges, two for a vector node
     (e0, e1) and four for a matrix node (e00, e01, e10, e11)."""
 
-    __slots__ = ("level", "edges", "idx")
+    __slots__ = ("level", "edges", "idx", "size")
 
     def __init__(self, level: int, edges: tuple["Edge", ...], idx: int):
         self.level = level
         self.edges = edges
         self.idx = idx
+        self.size = 0  # count_nodes memo; 0 until first counted
 
     def __repr__(self) -> str:
         return f"<Node q{self.level} #{self.idx}>"
@@ -79,38 +80,36 @@ class ComputeCache:
     Measurement keeps two: ``split`` maps (root node, root weight, qubit)
     to the outcome probabilities, and ``collapse`` maps (qubit, outcome)
     to a per-node rebuild memo, so a state that a later shot measures
-    again costs a lookup. The whole cache, these memos included, is
-    dropped whenever the universe garbage-collects, because a memoized
-    result may name a swept node.
+    again costs a lookup. ``gates`` holds build_gate_dd's diagrams and
+    ``chains`` identity_chain's. Garbage collection drops the whole cache,
+    these memos included, because a memoized result may name a swept node.
     """
 
     def __init__(self):
+        self.ops_count = 0  # recursion-entry counter; clear() keeps it
+        self.clear()
+
+    def clear(self) -> None:
         self.add: dict = {}
         self.mult: dict = {}
         self.prob: dict = {}
         self.collapse: dict = {}
         self.split: dict = {}
-        self.ops_count = 0  # recursion-entry counter for cost assertions
-
-    def clear(self) -> None:
-        self.add.clear()
-        self.mult.clear()
-        self.prob.clear()
-        self.collapse.clear()
-        self.split.clear()
+        self.gates: dict = {}
+        self.chains: dict[int, tuple[Edge, ...]] = {}
 
 
 class Universe:
     """Node storage and construction for one simulation.
 
-    Holds the complex table, one unique table per level, the compute
-    cache, the shared zero edge and the identity chains (identity_chain),
-    which gc_collect drops with the cache so that no swept node is reused;
-    the chain nodes that survive a collection stay in ``identity_nodes``,
-    which multiply passes through unchanged. Vector nodes are keyed by
-    their edge pair and matrix nodes by their edge 4-tuple, so both kinds
-    share a level's table without colliding. All diagram construction goes
-    through make_node (or its shortcut make_diagonal_node), which
+    Holds the complex table, the unique table, the compute cache (which
+    gc_collect drops, so that no swept node is reused) and the shared zero
+    edge. The identity-chain nodes that survive a collection stay in
+    ``identity_nodes``, which multiply passes through unchanged. Nodes are
+    keyed by their level and their edge tuple (a pair for a vector node, a
+    4-tuple for a matrix node), so both kinds share the table without
+    colliding; its size is the live node count. All diagram construction
+    goes through make_node (or its shortcut make_diagonal_node), which
     normalizes and deduplicates.
     """
 
@@ -120,29 +119,26 @@ class Universe:
         # the canonical zero edge of every diagram; edges are immutable and
         # compare by value, so one instance serves them all
         self.zero_edge = Edge(self.ctab.zero, TERMINAL)
-        self._tables: dict[int, dict] = {}
-        self._chains: dict[int, tuple[Edge, ...]] = {}
+        self._table: dict[tuple, Node] = {}
         self.identity_nodes: set[Node] = set()
         self._node_seq = 0
-        self._live = 0
 
     # -- bookkeeping ----------------------------------------------------
 
     @property
     def live_nodes(self) -> int:
-        """Distinct nodes currently held by the unique tables."""
-        return self._live
+        """Distinct nodes currently held by the unique table."""
+        return len(self._table)
 
     # -- node construction ----------------------------------------------
 
     def _unique(self, level: int, key: tuple) -> Node:
         """The level's node for the edge tuple ``key``, created on a miss."""
-        table = self._tables.setdefault(level, {})
-        node = table.get(key)
+        slot = (level, key)
+        node = self._table.get(slot)
         if node is None:
-            node = table[key] = Node(level, key, self._node_seq)
+            node = self._table[slot] = Node(level, key, self._node_seq)
             self._node_seq += 1
-            self._live += 1
         return node
 
     def make_node(self, level: int, *edges: Edge) -> Edge:
@@ -177,13 +173,13 @@ class Universe:
 
     def identity_chain(self, n: int) -> tuple[Edge, ...]:
         """``chain[l]`` is the identity over levels l..n-1 of n qubits and
-        ``chain[n]`` the terminal edge; built once, kept until gc_collect."""
-        chain = self._chains.get(n)
+        ``chain[n]`` the terminal edge; memoized until gc_collect."""
+        chain = self.cache.chains.get(n)
         if chain is None:
             links = [Edge(self.ctab.one, TERMINAL)]
             for level in range(n - 1, -1, -1):
                 links.append(self.make_diagonal_node(level, links[-1]))
-            chain = self._chains[n] = tuple(reversed(links))
+            chain = self.cache.chains[n] = tuple(reversed(links))
             self.identity_nodes.update(e.node for e in links[1:])
         return chain
 
@@ -309,19 +305,16 @@ class Universe:
     def gc_collect(self, roots: Iterable[Edge]) -> int:
         """Drop nodes unreachable from ``roots``; returns the freed count.
 
-        Invalidates the compute cache and the identity chains, and keeps
-        only the live identity nodes. Never called implicitly by the
-        construction paths, so peak statistics stay deterministic.
+        Invalidates the compute cache (identity chains and gate diagrams
+        included) and keeps only the live identity nodes. Never called
+        implicitly, so peak statistics stay deterministic.
         """
         live = _reachable(roots)
-        before = self._live
-        for level, table in self._tables.items():
-            self._tables[level] = {k: nd for k, nd in table.items() if nd in live}
-        self._live = sum(len(t) for t in self._tables.values())
+        before = len(self._table)
+        self._table = {k: nd for k, nd in self._table.items() if nd in live}
         self.cache.clear()
-        self._chains.clear()
         self.identity_nodes = {nd for nd in self.identity_nodes if nd in live}
-        return before - self._live
+        return before - len(self._table)
 
 
 def _reachable(roots: Iterable[Edge]) -> dict[Node, None]:
@@ -343,8 +336,13 @@ def _reachable(roots: Iterable[Edge]) -> dict[Node, None]:
 
 
 def count_nodes(edge: Edge) -> int:
-    """Number of distinct nonterminal nodes reachable from ``edge``."""
-    return len(_reachable((edge,)))
+    """Number of distinct nonterminal nodes reachable from ``edge``,
+    memoized on the root node, whose successors never change."""
+    if edge.node is TERMINAL:
+        return 0
+    if not edge.node.size:
+        edge.node.size = len(_reachable((edge,)))
+    return edge.node.size
 
 
 def _format_weight(w: ComplexValue) -> str:

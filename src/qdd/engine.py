@@ -41,15 +41,13 @@ class SimStats:
 
 
 def gate_dd_for(uni: Universe, n: int, spec: GateSpec, cache: dict) -> Edge:
-    """Fetch the n-qubit diagram for one gate spec, building it on a miss."""
-    edge = cache.get(spec)
-    if edge is None:
-        edge = cache[spec] = build_gate_dd(uni, n, spec)
+    """build_gate_dd(uni, n, spec), also recorded in ``cache[spec]``."""
+    edge = cache[spec] = build_gate_dd(uni, n, spec)
     return edge
 
 
 class _Simulation:
-    """One Universe, RNG and gate cache, shared by every pass over the ops.
+    """One Universe and RNG, shared by every pass over the ops.
 
     Peak stats accumulate over all passes; ``gates_applied`` and the final
     norm deviation describe the latest pass.
@@ -60,23 +58,17 @@ class _Simulation:
         self.config = config
         self.uni = Universe()
         self.rng = random.Random(config.seed)
-        self.gate_cache: dict = {}
         self.stats = SimStats(n_qubits=circuit.n_qubits)
-        self._node_counts: dict = {}  # state root node -> count_nodes
 
     def _note_state(self) -> None:
         st = self.stats
-        root = self.state.node
-        count = self._node_counts.get(root)
-        if count is None:
-            count = self._node_counts[root] = count_nodes(self.state)
-        st.peak_vector_nodes = max(st.peak_vector_nodes, count)
+        st.peak_vector_nodes = max(st.peak_vector_nodes,
+                                   count_nodes(self.state))
         st.peak_unique_nodes = max(st.peak_unique_nodes, self.uni.live_nodes)
 
     def _apply(self, op, index: int) -> None:
         if isinstance(op, GateOp):
-            gate = gate_dd_for(self.uni, self.circuit.n_qubits, op.spec,
-                               self.gate_cache)
+            gate = build_gate_dd(self.uni, self.circuit.n_qubits, op.spec)
             self.state = multiply(self.uni, gate, self.state)
             self.stats.gates_applied += 1
             dev = abs(norm_squared(self.uni, self.state) - 1.0)
@@ -100,8 +92,7 @@ class _Simulation:
 
     def _maybe_gc(self) -> None:
         if self.uni.live_nodes > self.config.gc_threshold:
-            self.uni.gc_collect([self.state, *self.gate_cache.values()])
-            self._node_counts.clear()
+            self.uni.gc_collect([self.state])
 
     def execute(self, on_op=None) -> Edge:
         """One pass over the circuit's ops, starting from |0...0>."""

@@ -102,7 +102,10 @@ def identity_dd(uni: Universe, n: int) -> Edge:
 
 
 def build_gate_dd(uni: Universe, n: int, spec: GateSpec) -> Edge:
-    """n-qubit diagram of a controlled single-qubit gate."""
+    """n-qubit diagram of a controlled single-qubit gate; memoized until GC."""
+    memo = uni.cache.gates.get((n, spec))
+    if memo is not None:
+        return memo
     if not 0 <= spec.target < n:
         raise ValueError(f"target {spec.target} out of range for n={n}")
     for c in spec.controls:
@@ -138,4 +141,5 @@ def build_gate_dd(uni: Universe, n: int, spec: GateSpec) -> Edge:
             e = uni.make_node(level, chain[level + 1], zero, zero, e)
         else:
             e = uni.make_diagonal_node(level, e)
+    uni.cache.gates[n, spec] = e
     return e

@@ -89,7 +89,7 @@ def assert_interned(uni: Universe, edge) -> None:
         if node is TERMINAL or node in seen:
             continue
         seen.add(node)
-        assert uni._tables[node.level].get(node.edges) is node, \
+        assert uni._table.get((node.level, node.edges)) is node, \
             f"node at level {node.level} is not the table's node for its key"
         stack.extend(e.node for e in node.edges)
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -12,6 +13,9 @@ from _util import dft_matrix
 
 BELL_MEASURE = "qubits 2\nh 0\ncx 0 1\nmeasure 0\n"
 DEEP = "qubits 1200\nh 0\ncx 0 1199\n"
+HUGE = "qubits 99999999999\nh 0\n"
+MID_CIRCUIT = ("qubits 5\nh 0\ncx 0 1\nt 1\nh 2\nmeasure 0\ncx 1 3\nh 4\n"
+               "cx 4 2\nmeasure 2\nh 1\ncx 3 0\nt 4\nmeasure_all\n")
 
 DOT_HEAD = """digraph dd {
   ordering=out;
@@ -202,6 +206,27 @@ class TestRunCommand:
             assert err.startswith("error: 1200 qubits exceed")
             assert err.count("\n") == 1
 
+    def test_huge_qubit_count_rejected_before_allocating(self, tmp_path,
+                                                          capsys):
+        path = write_circuit(tmp_path, HUGE)
+        for argv in (("run", path), ("dot", path), ("dot", path, "--state")):
+            code, out, err = invoke(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err == ("error: 99999999999 qubits exceed the recursion "
+                           "depth of the diagram operations\n")
+
+    def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(cli, "sample", exhausted)
+        monkeypatch.setattr(cli, "build_gate_dd", exhausted)
+        path = write_circuit(tmp_path, "qubits 1\nh 0\n")
+        for argv in (("run", path), ("dot", path, "--gate", "0"),
+                     ("bench", "entangle", "3")):
+            code, out, err = invoke(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err == "error: out of memory\n"
+
     def test_determinism_byte_identical_minus_timing(self, tmp_path, capsys):
         path = write_circuit(tmp_path, BELL_MEASURE)
         reports = []
@@ -213,6 +238,24 @@ class TestRunCommand:
             r["stats"].pop("wall_time_ms")
             reports.append(r)
         assert reports[0] == reports[1]
+
+    def test_reports_identical_across_hash_seeds(self, tmp_path):
+        # criterion 10 across processes: set and dict order must not leak
+        # into a report, GC and mid-circuit measurement included
+        path = write_circuit(tmp_path, MID_CIRCUIT)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        outputs = []
+        for hash_seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "qdd", "run", path, "--seed", "5",
+                 "--shots", "40", "--gc-threshold", "20"],
+                capture_output=True, check=True,
+                env={**os.environ, "PYTHONPATH": src,
+                     "PYTHONHASHSEED": hash_seed})
+            outputs.append(re.sub(rb'"wall_time_ms": [^,\n]*', b"",
+                                  proc.stdout))
+        assert b'"histogram"' in outputs[0]
+        assert outputs[0] == outputs[1]
 
 
 class TestBenchCommand:
@@ -241,6 +284,16 @@ class TestBenchCommand:
         assert code == 2 and "error" in err
         code, _, err = invoke(capsys, "bench", "qft", "4", "--input", "0")
         assert code == 2
+
+    def test_too_deep_rejected_before_generating(self, capsys, monkeypatch):
+        def generate(*args):
+            raise AssertionError("circuit generated")
+        for gen in ("gen_entangle", "gen_qft", "gen_grover"):
+            monkeypatch.setattr(cli, gen, generate)
+        for family in ("entangle", "qft", "grover"):
+            code, out, err = invoke(capsys, "bench", family, "100000")
+            assert code == 2 and out == ""
+            assert err.startswith("error: 100000 qubits exceed")
 
     def test_fewer_than_one_qubit_exit_2(self, capsys):
         for family in ("entangle", "qft", "grover"):

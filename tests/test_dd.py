@@ -299,10 +299,9 @@ class TestInvariants:
             built += [uni.build_vector(list(np.tile(a, 2))) for _ in range(2)]
         for roots in (built, built[::4]):
             uni.gc_collect(roots)
-            for level, table in uni._tables.items():
-                for key, node in table.items():
-                    assert node.level == level and node.edges == key
-            assert uni.live_nodes == sum(len(t) for t in uni._tables.values())
+            for (level, key), node in uni._table.items():
+                assert node.level == level and node.edges == key
+            assert uni.live_nodes == len(uni._table)
             for v in roots:
                 assert_interned(uni, v)
 
@@ -325,7 +324,7 @@ class TestGc:
         from qdd import GateKind, GateSpec, build_gate_dd
 
         def stored():
-            return sum(len(t) for t in uni._tables.values())
+            return len(uni._table)
 
         rng = np.random.default_rng(4)
         keep = uni.build_vector(list(rng.normal(size=8)))

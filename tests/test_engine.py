@@ -6,8 +6,8 @@ import pytest
 
 import qdd.dense as dense
 from qdd import (Circuit, EngineConfig, GateKind, GateOp, GateSpec,
-                 MeasureAllOp, Universe, count_nodes, gate_dd_for,
-                 gen_entangle, gen_qft, parse, run, sample)
+                 MeasureAllOp, Universe, build_gate_dd, count_nodes,
+                 gate_dd_for, gen_entangle, gen_qft, parse, run, sample)
 
 from _util import dft_matrix, random_circuit
 
@@ -164,29 +164,53 @@ class TestGateDDCache:
         b = gate_dd_for(uni, 3, spec, cache)
         assert a == b and len(cache) == 1
 
+    def test_warm_build_constructs_nothing_until_gc(self, monkeypatch):
+        uni = Universe()
+        spec = GateSpec(GateKind.X, 2, frozenset({0, 4}))
+        cold = build_gate_dd(uni, 5, spec)
+
+        def no_build(*args):
+            raise AssertionError("warm gate build constructed a node")
+        monkeypatch.setattr(uni, "make_node", no_build)
+        monkeypatch.setattr(uni, "make_diagonal_node", no_build)
+        assert build_gate_dd(uni, 5, spec) is cold
+        monkeypatch.undo()
+        uni.gc_collect([])
+        assert uni.cache.gates == {} and uni.live_nodes == 0
+        rebuilt = build_gate_dd(uni, 5, spec)
+        assert rebuilt.w is cold.w and rebuilt.node is not cold.node
+        assert count_nodes(rebuilt) == count_nodes(cold)
+
 
 class TestNodeCountMemo:
     MID = "qubits 3\nh 0\ncx 0 1\nmeasure 0\nh 2\ncx 2 1\nmeasure 2\n"
 
     def test_each_distinct_state_counted_once(self, monkeypatch):
-        import qdd.engine as engine
-        counted = []
-        monkeypatch.setattr(engine, "count_nodes",
-                            lambda e: counted.append(e.node) or count_nodes(e))
-        sim = engine._Simulation(parse(self.MID), EngineConfig(seed=3))
+        import qdd.dd as dd
+        from qdd.engine import _Simulation
+        walked = []
+        reachable = dd._reachable
+        monkeypatch.setattr(dd, "_reachable", lambda roots: walked.extend(
+            r.node for r in roots) or reachable(roots))
+        sim = _Simulation(parse(self.MID), EngineConfig(seed=3))
         per_op = []
         for _ in range(40):
-            sim.execute(lambda uni, state, i: per_op.append(count_nodes(state)))
-        assert len(counted) == len(set(counted)) < len(per_op) / 4
+            sim.execute(lambda uni, state, i: per_op.append(
+                len(reachable((state,)))))
+        assert len(walked) == len(set(walked)) < len(per_op) / 4
         assert sim.stats.peak_vector_nodes == max(per_op)
 
     def test_memo_dropped_when_gc_fires(self):
         from qdd.engine import _Simulation
-        sim = _Simulation(parse(self.MID), EngineConfig(seed=3, gc_threshold=0))
-        sim.execute()
-        assert sim._node_counts == {}
-        _, want = run(parse(self.MID), EngineConfig(seed=3))
-        assert sim.stats.peak_vector_nodes == want.peak_vector_nodes
+        sims = [_Simulation(parse(self.MID), EngineConfig(seed=3,
+                                                          gc_threshold=t))
+                for t in (0, 1_000_000)]
+        for sim in sims:
+            for _ in range(10):
+                sim.execute()
+        collected, gc_free = (sim.stats for sim in sims)
+        assert collected.peak_vector_nodes == gc_free.peak_vector_nodes
+        assert collected.peak_unique_nodes < gc_free.peak_unique_nodes
 
 
 class TestGc:
@@ -196,6 +220,25 @@ class TestGc:
         v2, s2 = state_vector(c, EngineConfig())
         assert np.max(np.abs(v1 - v2)) < 1e-12
         assert s2.peak_unique_nodes >= s1.peak_unique_nodes
+
+    def test_gate_dds_are_collected(self, monkeypatch):
+        # gate diagrams are no GC roots, so a threshold just above what the
+        # state needs collects rarely instead of after nearly every op
+        collections = []
+        collect = Universe.gc_collect
+
+        def counted(uni, roots):
+            collections.append(roots)
+            return collect(uni, roots)
+        monkeypatch.setattr(Universe, "gc_collect", counted)
+        c = gen_qft(16, "10" * 8)
+        _, low = run(c, EngineConfig(gc_threshold=1360))
+        _, default = run(c)  # never collects
+        assert 1 <= len(collections) <= 4
+        assert low.peak_unique_nodes < 1450
+        for s in (low, default):
+            s.wall_time_ms = s.peak_unique_nodes = 0
+        assert low == default
 
 
 class TestNormCheck:
