@@ -1,0 +1,108 @@
+"""Print one digest line per qdd CLI call, to compare two source trees.
+
+Each line reads ``<sha1[:12]> <invocation>``. The digest covers the exit
+code, stderr and stdout, with the report's ``wall_time_ms`` removed, so
+two trees that behave alike print identical lines. The circuits are
+written here from fixed seeds, so both trees read the same inputs:
+
+    PYTHONPATH=old/src python3 scripts/report_digests.py > old.txt
+    PYTHONPATH=new/src python3 scripts/report_digests.py > new.txt
+    diff old.txt new.txt
+
+The calls cover 12 random circuits (no, trailing and mid-circuit
+measurement), each at the default GC threshold and at 20, plus
+``--dump-state``, ``dot``, ``dot --gate``, four ``bench`` runs and one
+bad input. Exits 1 if any call ends in a traceback or an undocumented
+exit code.
+"""
+
+import hashlib
+import os
+import random
+import re
+import subprocess
+import sys
+import tempfile
+
+SINGLE = ("x", "y", "z", "h", "s", "sdg", "t", "tdg")
+WALL_TIME = re.compile(r'"wall_time_ms": [^,\n]*')
+
+
+def random_circuit(seed: int) -> str:
+    """A seeded circuit; seed % 3 picks no, trailing or mid-circuit
+    measurement."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 8)
+    lines = [f"qubits {n}"]
+    for i in range(40):
+        if seed % 3 == 2 and i == 20:
+            lines.append(f"measure {rng.randrange(n)}")
+        a, b, c = rng.sample(range(n), 3)
+        kind = rng.randrange(8)
+        if kind == 0:
+            lines.append(f"cx {a} {b}")
+        elif kind == 1:
+            lines.append(f"cp {rng.randint(1, 5)} {a} {b}")
+        elif kind == 2:
+            lines.append(f"{rng.choice(('mcx', 'mcz'))} {a} {b} {c}")
+        elif kind == 3:
+            lines.append(f"p {rng.uniform(-3.2, 3.2)!r} {a}")
+        elif kind == 4:
+            lines.append(f"rk {rng.randint(1, 6)} {a}")
+        elif kind < 7:
+            lines.append(f"h {a}")
+        else:
+            lines.append(f"{rng.choice(SINGLE)} {a}")
+    if seed % 3 == 1:
+        lines.append("measure_all")
+    return "\n".join(lines) + "\n"
+
+
+def invocations() -> list[list[str]]:
+    calls = []
+    for seed in range(12):
+        run = ["run", f"rand{seed:02d}.qdd", "--seed", str(seed),
+               "--shots", "20"]
+        calls += [run, run + ["--gc-threshold", "20"]]
+    calls += [
+        ["run", "rand00.qdd", "--dump-state"],
+        ["run", "rand02.qdd", "--dump-state", "--seed", "5"],
+        ["dot", "rand00.qdd"],
+        ["dot", "rand02.qdd", "--seed", "3"],
+        ["dot", "rand01.qdd", "--gate", "7"],
+        ["dot", "rand03.qdd", "--gate", "12"],
+        ["bench", "entangle", "40", "--shots", "10"],
+        ["bench", "qft", "12", "--seed", "4", "--shots", "50"],
+        ["bench", "qft", "48", "--seed", "1", "--shots", "20"],
+        ["bench", "grover", "6", "--marked", "101101", "--shots", "50"],
+        ["run", "bad.qdd"],
+    ]
+    return calls
+
+
+def main() -> int:
+    env = dict(os.environ)
+    paths = env.get("PYTHONPATH", "").split(os.pathsep)
+    env["PYTHONPATH"] = os.pathsep.join(os.path.abspath(p) for p in paths if p)
+    failed = False
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in range(12):
+            with open(os.path.join(tmp, f"rand{seed:02d}.qdd"), "w") as f:
+                f.write(random_circuit(seed))
+        with open(os.path.join(tmp, "bad.qdd"), "w") as f:
+            f.write("qubits 2\nh 0\ncx 0 5\n")
+        for args in invocations():
+            proc = subprocess.run([sys.executable, "-m", "qdd", *args],
+                                  cwd=tmp, env=env, capture_output=True,
+                                  text=True)
+            out = WALL_TIME.sub('"wall_time_ms"', proc.stdout)
+            blob = f"{proc.returncode}\n{proc.stderr}\n{out}".encode()
+            print(hashlib.sha1(blob).hexdigest()[:12], "qdd", *args)
+            if proc.returncode not in (0, 2, 3) or "Traceback" in proc.stderr:
+                print(proc.stderr, file=sys.stderr)
+                failed = True
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -170,19 +170,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_dot(args: argparse.Namespace) -> int:
     circuit = _load_circuit(args.file)
-    if args.gate is not None:
-        gate_ops = [op for op in circuit.ops if isinstance(op, GateOp)]
-        if not 0 <= args.gate < len(gate_ops):
-            print(f"gate index {args.gate} out of range "
-                  f"({len(gate_ops)} gate ops)", file=sys.stderr)
-            return 2
-        uni = Universe()
-        edge = build_gate_dd(uni, circuit.n_qubits, gate_ops[args.gate].spec)
-        print(export_dot(edge))
-        return 0
     with _recursion_guard(circuit.n_qubits):
-        state, _ = run(circuit, EngineConfig(seed=args.seed))
-    print(export_dot(state))
+        if args.gate is None:
+            edge, _ = run(circuit, EngineConfig(seed=args.seed))
+        else:
+            gate_ops = [op for op in circuit.ops if isinstance(op, GateOp)]
+            if not 0 <= args.gate < len(gate_ops):
+                print(f"gate index {args.gate} out of range "
+                      f"({len(gate_ops)} gate ops)", file=sys.stderr)
+                return 2
+            spec = gate_ops[args.gate].spec
+            edge = build_gate_dd(Universe(), circuit.n_qubits, spec)
+    print(export_dot(edge))
     return 0
 
 

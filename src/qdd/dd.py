@@ -1,9 +1,11 @@
 """Edge-weighted decision diagrams for state vectors and unitaries.
 
-A vector over n qubits decomposes level by level: the node at level i
-splits the amplitude block for qubit i into its |0> and |1> halves, where
-qubit 0 is the most significant bit of a basis-state index. Matrices split
-into four quadrants per level, stored in the order
+A vector over n qubits decomposes qubit by qubit: a node splits its
+amplitude block into |0> and |1> halves, with qubit 0, the most
+significant bit of a basis-state index, at the root. A node's height is
+the number of qubits below it (-1 for the terminal; qubit q of n sits at
+height n - 1 - q), so a sub-diagram is one node in every width. Matrices
+split into four quadrants per qubit, stored in the order
 
     (e00, e01, e10, e11) = (out 0 / in 0, out 0 / in 1,
                             out 1 / in 0, out 1 / in 1),
@@ -17,14 +19,14 @@ Universe.make_node reduces and normalizes both:
 
 * structurally identical nodes are shared through one unique table (a
   node with two equal successors is therefore stored once and shared,
-  never skipped; every nonzero path visits every level);
+  never skipped; every nonzero path visits every height);
 * per node, the first successor edge with a nonzero weight carries weight
   exactly the interned 1; the common factor moves to the incoming edge;
 * an all-zero sub-block is the universe's one zero edge (weight 0,
   straight to the terminal), never a node.
 
 A Universe owns the unique table, the complex table, the operation
-caches and the identity chains that gate diagrams share. It is
+caches and the identity chain that gate diagrams share. It is
 single-owner: one simulation, one thread. Edges are only meaningful
 within the universe that created them.
 """
@@ -40,6 +42,7 @@ class Terminal:
     """The unique sink: a 1-dimensional vector / 1x1 matrix holding 1."""
 
     __slots__ = ()
+    height = -1
 
     def __repr__(self) -> str:
         return "TERMINAL"
@@ -49,19 +52,19 @@ TERMINAL = Terminal()
 
 
 class Node:
-    """A nonterminal: its level and successor edges, two for a vector node
+    """A nonterminal: its height and successor edges, two for a vector node
     (e0, e1) and four for a matrix node (e00, e01, e10, e11)."""
 
-    __slots__ = ("level", "edges", "idx", "size")
+    __slots__ = ("height", "edges", "idx", "size")
 
-    def __init__(self, level: int, edges: tuple["Edge", ...], idx: int):
-        self.level = level
+    def __init__(self, height: int, edges: tuple["Edge", ...], idx: int):
+        self.height = height
         self.edges = edges
         self.idx = idx
         self.size = 0  # count_nodes memo; 0 until first counted
 
     def __repr__(self) -> str:
-        return f"<Node q{self.level} #{self.idx}>"
+        return f"<Node h{self.height} #{self.idx}>"
 
 
 class Edge(NamedTuple):
@@ -78,10 +81,10 @@ class ComputeCache:
     Keys embed operand identities (nodes and interned weight handles), so
     a hit returns exactly the edge recomputation would produce.
     Measurement keeps two: ``split`` maps (root node, root weight, qubit)
-    to the outcome probabilities, and ``collapse`` maps (qubit, outcome)
+    to the outcome probabilities, and ``collapse`` maps (height, outcome)
     to a per-node rebuild memo, so a state that a later shot measures
     again costs a lookup. ``gates`` holds build_gate_dd's diagrams and
-    ``chains`` identity_chain's. Garbage collection drops the whole cache,
+    ``chain`` identity_chain's. Garbage collection drops the whole cache,
     these memos included, because a memoized result may name a swept node.
     """
 
@@ -96,7 +99,7 @@ class ComputeCache:
         self.collapse: dict = {}
         self.split: dict = {}
         self.gates: dict = {}
-        self.chains: dict[int, tuple[Edge, ...]] = {}
+        self.chain: list[Edge] = []
 
 
 class Universe:
@@ -106,9 +109,9 @@ class Universe:
     gc_collect drops, so that no swept node is reused) and the shared zero
     edge. The identity-chain nodes that survive a collection stay in
     ``identity_nodes``, which multiply passes through unchanged. Nodes are
-    keyed by their level and their edge tuple (a pair for a vector node, a
-    4-tuple for a matrix node), so both kinds share the table without
-    colliding; its size is the live node count. All diagram construction
+    keyed by their edge tuple alone (a pair for a vector node, a 4-tuple
+    for a matrix node), so both kinds share the table without colliding;
+    its size is the live node count. All diagram construction
     goes through make_node (or its shortcut make_diagonal_node), which
     normalizes and deduplicates.
     """
@@ -132,18 +135,18 @@ class Universe:
 
     # -- node construction ----------------------------------------------
 
-    def _unique(self, level: int, key: tuple) -> Node:
-        """The level's node for the edge tuple ``key``, created on a miss."""
-        slot = (level, key)
-        node = self._table.get(slot)
+    def _unique(self, height: int, key: tuple) -> Node:
+        """The node for the edge tuple ``key``, created on a miss."""
+        node = self._table.get(key)
         if node is None:
-            node = self._table[slot] = Node(level, key, self._node_seq)
+            node = self._table[key] = Node(height, key, self._node_seq)
             self._node_seq += 1
         return node
 
-    def make_node(self, level: int, *edges: Edge) -> Edge:
+    def make_node(self, *edges: Edge) -> Edge:
         """Build (or find) the normalized node over ``edges``: two for a
-        vector node (e0, e1), four for a matrix node (e00, e01, e10, e11).
+        vector node (e0, e1), four for a matrix node (e00, e01, e10, e11),
+        whose nonzero successors must share a height, one below the node's.
 
         The first nonzero weight becomes the returned edge's weight; the
         node keeps the interned 1 there and every later weight divided
@@ -156,53 +159,53 @@ class Universe:
         d = None
         out = []
         for e in edges:
-            if e.node is not TERMINAL and e.node.level <= level:
-                raise ValueError(
-                    f"successor at level {e.node.level} not below level {level}")
             if e.w is zero:
                 out.append(zero_edge)
             elif d is None:
                 d = e.w
+                height = e.node.height
                 out.append(Edge(ct.one, e.node))
+            elif e.node.height != height:
+                raise ValueError(f"successors at heights {height} "
+                                 f"and {e.node.height}")
             else:
                 r = ct.cdiv(e.w, d)
                 out.append(zero_edge if r is zero else Edge(r, e.node))
         if d is None:
             return zero_edge
-        return Edge(d, self._unique(level, tuple(out)))
+        return Edge(d, self._unique(height + 1, tuple(out)))
 
-    def identity_chain(self, n: int) -> tuple[Edge, ...]:
-        """``chain[l]`` is the identity over levels l..n-1 of n qubits and
-        ``chain[n]`` the terminal edge; memoized until gc_collect."""
-        chain = self.cache.chains.get(n)
-        if chain is None:
-            links = [Edge(self.ctab.one, TERMINAL)]
-            for level in range(n - 1, -1, -1):
-                links.append(self.make_diagonal_node(level, links[-1]))
-            chain = self.cache.chains[n] = tuple(reversed(links))
-            self.identity_nodes.update(e.node for e in links[1:])
+    def identity_chain(self, n: int) -> list[Edge]:
+        """``chain[h]`` is the identity over h qubits, for every h <= n, and
+        ``chain[0]`` the terminal edge; memoized until gc_collect."""
+        chain = self.cache.chain
+        if not chain:
+            chain.append(Edge(self.ctab.one, TERMINAL))
+        while len(chain) <= n:
+            chain.append(self.make_diagonal_node(chain[-1]))
+            self.identity_nodes.add(chain[-1].node)
         return chain
 
-    def make_diagonal_node(self, level: int, e: Edge) -> Edge:
-        """make_node(level, e, zero, zero, e) for a nonzero ``e`` from a
-        lower level, where cdiv(e.w, e.w) is exactly the interned 1."""
+    def make_diagonal_node(self, e: Edge) -> Edge:
+        """make_node(e, zero, zero, e) for a nonzero ``e``, where
+        cdiv(e.w, e.w) is exactly the interned 1."""
         link = Edge(self.ctab.one, e.node)
-        zero = self.zero_edge
-        return Edge(e.w, self._unique(level, (link, zero, zero, link)))
+        z = self.zero_edge
+        return Edge(e.w, self._unique(e.node.height + 1, (link, z, z, link)))
 
     # -- vector construction and readout ---------------------------------
 
     def basis_state(self, n: int, bits: str) -> Edge:
-        """The computational basis state |bits>, one node per level."""
+        """The computational basis state |bits>, one node per qubit."""
         if len(bits) != n or any(b not in "01" for b in bits):
             raise ValueError(f"need a length-{n} bitstring, got {bits!r}")
         edge = Edge(self.ctab.one, TERMINAL)
         zero = self.zero_edge
-        for level in range(n - 1, -1, -1):
-            if bits[level] == "0":
-                edge = self.make_node(level, edge, zero)
+        for b in reversed(bits):
+            if b == "0":
+                edge = self.make_node(edge, zero)
             else:
-                edge = self.make_node(level, zero, edge)
+                edge = self.make_node(zero, edge)
         return edge
 
     def build_vector(self, amplitudes: Sequence[complex]) -> Edge:
@@ -216,25 +219,30 @@ class Universe:
             raise ValueError(f"length {size} is not a power of two")
         ct = self.ctab
 
-        def build(level: int, offset: int, span: int) -> Edge:
+        def build(offset: int, span: int) -> Edge:
             if span == 1:
                 a = complex(amplitudes[offset])
                 return Edge(ct.intern(a.real, a.imag), TERMINAL)
             half = span // 2
-            e0 = build(level + 1, offset, half)
-            e1 = build(level + 1, offset + half, half)
-            return self.make_node(level, e0, e1)
+            e0 = build(offset, half)
+            e1 = build(offset + half, half)
+            return self.make_node(e0, e1)
 
-        return build(0, 0, size)
+        return build(0, size)
+
+    def _check_width(self, e: Edge, n: int) -> None:
+        if e.w is not self.ctab.zero and e.node.height != n - 1:
+            raise ValueError(f"diagram has {e.node.height + 1} qubits, not {n}")
 
     def read_amplitude(self, v: Edge, n: int, index: int) -> complex:
         """Amplitude of basis state ``index``: the path weight product."""
         if not 0 <= index < (1 << n):
             raise ValueError(f"index {index} out of range for {n} qubits")
+        self._check_width(v, n)
         w = complex(v.w.re, v.w.im)
         node = v.node
         while node is not TERMINAL and w != 0:
-            e = node.edges[(index >> (n - 1 - node.level)) & 1]
+            e = node.edges[(index >> node.height) & 1]
             w *= complex(e.w.re, e.w.im)
             node = e.node
         return w
@@ -243,6 +251,7 @@ class Universe:
         """Expand a vector diagram back to its 2^n amplitudes (n <= 20)."""
         if n > 20:
             raise ValueError(f"read_dense caps at 20 qubits, got {n}")
+        self._check_width(v, n)
         out = [0j] * (1 << n)
 
         def fill(edge: Edge, offset: int, scale: complex) -> None:
@@ -253,7 +262,7 @@ class Universe:
             if node is TERMINAL:
                 out[offset] = w
                 return
-            half = 1 << (n - node.level - 1)
+            half = 1 << node.height
             fill(node.edges[0], offset, w)
             fill(node.edges[1], offset + half, w)
 
@@ -271,31 +280,31 @@ class Universe:
             raise ValueError("matrix is not square")
         ct = self.ctab
 
-        def build(level: int, row: int, col: int, span: int) -> Edge:
+        def build(row: int, col: int, span: int) -> Edge:
             if span == 1:
                 a = complex(entries[row][col])
                 return Edge(ct.intern(a.real, a.imag), TERMINAL)
             half = span // 2
             return self.make_node(
-                level,
-                build(level + 1, row, col, half),
-                build(level + 1, row, col + half, half),
-                build(level + 1, row + half, col, half),
-                build(level + 1, row + half, col + half, half),
+                build(row, col, half),
+                build(row, col + half, half),
+                build(row + half, col, half),
+                build(row + half, col + half, half),
             )
 
-        return build(0, 0, 0, size)
+        return build(0, 0, size)
 
     def read_matrix_entry(self, m: Edge, n: int, row: int, col: int) -> complex:
         """Entry (row, col): row indexes the output basis state."""
         dim = 1 << n
         if not (0 <= row < dim and 0 <= col < dim):
             raise ValueError(f"entry ({row}, {col}) out of range for {n} qubits")
+        self._check_width(m, n)
         w = complex(m.w.re, m.w.im)
         node = m.node
         while node is not TERMINAL and w != 0:
-            shift = n - 1 - node.level
-            e = node.edges[((row >> shift) & 1) * 2 + ((col >> shift) & 1)]
+            h = node.height
+            e = node.edges[((row >> h) & 1) * 2 + ((col >> h) & 1)]
             w *= complex(e.w.re, e.w.im)
             node = e.node
         return w
@@ -305,7 +314,7 @@ class Universe:
     def gc_collect(self, roots: Iterable[Edge]) -> int:
         """Drop nodes unreachable from ``roots``; returns the freed count.
 
-        Invalidates the compute cache (identity chains and gate diagrams
+        Invalidates the compute cache (the identity chain and gate diagrams
         included) and keeps only the live identity nodes. Never called
         implicitly, so peak statistics stay deterministic.
         """
@@ -356,7 +365,8 @@ def _is_zero_stub(e: Edge) -> bool:
 def export_dot(edge: Edge) -> str:
     """Render a diagram as DOT text.
 
-    One graph node per diagram node, labeled "q<level>"; edges carry the
+    One graph node per diagram node, labeled "q<i>" for its qubit i, counted
+    from the root; edges carry the
     weight as "a+bi" with 6 significant digits; zero stubs become boxed
     "0" leaves; the terminal is a boxed "1".
     """
@@ -368,7 +378,7 @@ def export_dot(edge: Edge) -> str:
     ]
     ids = {node: f"n{i}" for i, node in enumerate(_reachable((edge,)))}
     for node, name in ids.items():
-        lines.append(f'  {name} [label="q{node.level}"];')
+        lines.append(f'  {name} [label="q{edge.node.height - node.height}"];')
 
     stubs = 0
 

@@ -6,15 +6,15 @@ conjugation. Y is included for gate-set completeness even though the
 core set is X/Z/H plus phases.
 
 build_gate_dd assembles the n-qubit diagram bottom-up without ever
-forming a dense matrix. Below the target's lowest lower control, each
-quadrant track of the base matrix is its entry times the identity chain
-that the Universe shares among gates; from there up to the target the
-tracks are identity-extended at plain levels and gated into e11 at
-control levels (identity in e00); the target joins them and each level
-above adds one node. The result has at most 2n nodes when no control
-sits below the target, else at most 4n: such a level can hold the
-identity and three distinct tracks. For every kind but H a zero diagonal
-or off-diagonal merges or drops one of them, so 3n.
+forming a dense matrix, in heights (qubit q at n - 1 - q, see qdd.dd).
+Below the target's lowest lower control, each quadrant track of the base
+matrix is its entry times the identity chain the Universe shares; from
+there up to the target the tracks are identity-extended at plain heights
+and gated into e11 at control heights (identity in e00); the target joins
+them and each height above adds one node. The result has at most 2n
+nodes when no control sits below the target, else at most 4n: such a
+height can hold the identity and three distinct tracks. For every kind
+but H a zero diagonal or off-diagonal merges or drops one of them, so 3n.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def identity_dd(uni: Universe, n: int) -> Edge:
     """Identity over n qubits: a chain of n nodes, shared per universe."""
     if n < 0:
         raise ValueError("qubit count must be nonnegative")
-    return uni.identity_chain(n)[0]
+    return uni.identity_chain(n)[n]
 
 
 def build_gate_dd(uni: Universe, n: int, spec: GateSpec) -> Edge:
@@ -114,32 +114,32 @@ def build_gate_dd(uni: Universe, n: int, spec: GateSpec) -> Edge:
     ct = uni.ctab
     zero = uni.zero_edge
     chain = uni.identity_chain(n)
-    target, controls = spec.target, spec.controls
-    # Below the lowest control under the target every level is plain, so
+    target = n - 1 - spec.target
+    controls = {n - 1 - c for c in spec.controls}
+    # Below the lowest control under the target every height is plain, so
     # each nonzero quadrant track is its entry times the identity chain.
-    low = max((c for c in controls if c > target), default=target)
+    low = min((c for c in controls if c < target), default=target)
     tracks = []
     for row in base2x2(spec.kind, spec.param):
         for a in row:
             w = ct.intern(a.real, a.imag)
-            tracks.append(zero if w is ct.zero else Edge(w, chain[low + 1].node))
-    for level in range(low, target, -1):
+            tracks.append(zero if w is ct.zero else Edge(w, chain[low].node))
+    for h in range(low, target):
         for k, t in enumerate(tracks):
-            if level not in controls:
+            if h not in controls:
                 if t.w is not ct.zero:
-                    tracks[k] = uni.make_diagonal_node(level, t)
+                    tracks[k] = uni.make_diagonal_node(t)
             # input/output 0 on a control: the gate never fires, so the
             # diagonal tracks take the identity in e00, the others zero
             elif k in (0, 3):
-                tracks[k] = uni.make_node(level, chain[level + 1],
-                                          zero, zero, t)
+                tracks[k] = uni.make_node(chain[h], zero, zero, t)
             elif t.w is not ct.zero:
-                tracks[k] = uni.make_node(level, zero, zero, zero, t)
-    e = uni.make_node(target, *tracks)
-    for level in range(target - 1, -1, -1):
-        if level in controls:
-            e = uni.make_node(level, chain[level + 1], zero, zero, e)
+                tracks[k] = uni.make_node(zero, zero, zero, t)
+    e = uni.make_node(*tracks)
+    for h in range(target + 1, n):
+        if h in controls:
+            e = uni.make_node(chain[h], zero, zero, e)
         else:
-            e = uni.make_diagonal_node(level, e)
+            e = uni.make_diagonal_node(e)
     uni.cache.gates[n, spec] = e
     return e

@@ -49,13 +49,12 @@ def kron(uni: Universe, a: Edge, b: Edge) -> Edge:
     """Tensor product with a's qubits above (more significant than) b's.
 
     Rebuilds a with every nonzero terminal-bound edge redirected to b's
-    root node; the two root weights multiply. Raises if any node of a
-    sits at or below b's root level.
+    root node, which lifts each of a's nodes by b's qubit count; the two
+    root weights multiply.
     """
     ct = uni.ctab
     if a.w is ct.zero or b.w is ct.zero:
         return uni.zero_edge
-    b_level = None if b.node is TERMINAL else b.node.level
     memo: dict = {}
 
     def rebuild(node):
@@ -64,12 +63,9 @@ def kron(uni: Universe, a: Edge, b: Edge) -> Edge:
         got = memo.get(node)
         if got is not None:
             return got
-        if b_level is not None and node.level >= b_level:
-            raise ValueError(
-                f"operand levels overlap: {node.level} >= {b_level}")
         edges = [e if e.w is ct.zero else Edge(e.w, rebuild(e.node))
                  for e in node.edges]
-        res = uni.make_node(node.level, *edges)
+        res = uni.make_node(*edges)
         # weights were normalized already, so no factor comes back up
         memo[node] = res.node
         return res.node
@@ -93,9 +89,9 @@ def add(uni: Universe, p: Edge, q: Edge) -> Edge:
         if pn is not qn:
             raise ValueError("operands span different qubit sets")
         return Edge(ct.cadd(p.w, q.w), TERMINAL)
-    if pn.level != qn.level:
+    if pn.height != qn.height:
         raise ValueError(
-            f"operands span different qubit sets: {pn.level} vs {qn.level}")
+            f"operands span different qubit sets: {pn.height} vs {qn.height}")
     # Deterministic operand order makes the cache line commutative.
     if (qn.idx, q.w.idx) < (pn.idx, p.w.idx):
         p, q = q, p
@@ -111,7 +107,7 @@ def add(uni: Universe, p: Edge, q: Edge) -> Edge:
             if qe.w is not ct.zero:
                 qe = _edge(uni, ct.cmul(ratio, qe.w), qe.node)
             parts.append(add(uni, pe, qe))
-        hit = uni.make_node(pn.level, *parts)
+        hit = uni.make_node(*parts)
         cache.add[key] = hit
     return _edge(uni, ct.cmul(p.w, hit.w), hit.node)
 
@@ -119,7 +115,7 @@ def add(uni: Universe, p: Edge, q: Edge) -> Edge:
 # -- matrix-vector multiplication -------------------------------------------
 
 def multiply(uni: Universe, u: Edge, v: Edge) -> Edge:
-    """Apply the operator u to the state v (same qubit levels)."""
+    """Apply the operator u to the state v (same qubit count)."""
     ct = uni.ctab
     if u.w is ct.zero or v.w is ct.zero:
         return uni.zero_edge
@@ -133,11 +129,11 @@ def _mul_nodes(uni: Universe, un, vn) -> Edge:
     cache.ops_count += 1
     if un is TERMINAL or vn is TERMINAL:
         if un is not vn:
-            raise ValueError("operands span different qubit levels")
+            raise ValueError("operands span different qubit counts")
         return Edge(ct.one, TERMINAL)
-    if un.level != vn.level:
+    if un.height != vn.height:
         raise ValueError(
-            f"operands span different qubit levels: {un.level} vs {vn.level}")
+            f"operands span different qubit counts: {un.height} vs {vn.height}")
     if un in uni.identity_nodes:
         # what the recursion returns: cmul and cdiv by the interned 1
         # hand their other operand back unchanged
@@ -158,7 +154,7 @@ def _mul_nodes(uni: Universe, un, vn) -> Edge:
             term = _edge(uni, ct.cmul(ct.cmul(ue.w, ve.w), sub.w), sub.node)
             acc = term if acc.w is ct.zero else add(uni, acc, term)
         parts.append(acc)
-    res = uni.make_node(un.level, *parts)
+    res = uni.make_node(*parts)
     cache.mult[key] = res
     return res
 
@@ -194,7 +190,7 @@ def qubit_probabilities(uni: Universe, v: Edge) -> tuple[float, float]:
     """(P(root qubit -> 0), P(root qubit -> 1)), root weight included."""
     if v.node is TERMINAL:
         raise ValueError("state has no qubits to measure")
-    return _split(uni, v, v.node.level)
+    return _split(uni, v, 0)
 
 
 def _check_prob_sum(p0: float, p1: float) -> None:
@@ -214,27 +210,28 @@ def _pick(rng, p0: float, p1: float) -> tuple[int, float]:
 
 
 def _collapse(uni: Universe, v: Edge, q: int, outcome: int, prob: float) -> Edge:
-    """Zero-stub the losing branch of every level-q node, renormalize.
+    """Zero-stub the losing branch of every qubit-q node, renormalize.
 
-    A node's rebuild depends only on (node, q, outcome), so the per-node
-    memo lives in the compute cache under (q, outcome) and outlasts the
-    call: a later shot that meets the same state reuses it. gc_collect
-    drops it with the rest of the cache.
+    A node's rebuild depends only on (node, height of q, outcome), so the
+    per-node memo lives in the compute cache under (height, outcome) and
+    outlasts the call: a later shot that meets the same state reuses it.
+    gc_collect drops it with the rest of the cache.
     """
     ct = uni.ctab
     stub = uni.zero_edge
-    memo = uni.cache.collapse.setdefault((q, outcome), {})
+    height = v.node.height - q
+    memo = uni.cache.collapse.setdefault((height, outcome), {})
 
     def rebuild(node) -> Edge:
         got = memo.get(node)
         if got is not None:
             return got
-        if node.level == q:
+        if node.height == height:
             kept = node.edges[outcome]
             if outcome == 0:
-                res = uni.make_node(q, kept, stub)
+                res = uni.make_node(kept, stub)
             else:
-                res = uni.make_node(q, stub, kept)
+                res = uni.make_node(stub, kept)
         else:
             parts = []
             for e in node.edges:
@@ -243,7 +240,7 @@ def _collapse(uni: Universe, v: Edge, q: int, outcome: int, prob: float) -> Edge
                 else:
                     sub = rebuild(e.node)
                     parts.append(_edge(uni, ct.cmul(e.w, sub.w), sub.node))
-            res = uni.make_node(node.level, *parts)
+            res = uni.make_node(*parts)
         memo[node] = res
         return res
 
@@ -256,7 +253,7 @@ def _collapse(uni: Universe, v: Edge, q: int, outcome: int, prob: float) -> Edge
 def _split(uni: Universe, v: Edge, q: int) -> tuple[float, float]:
     """(P(qubit q -> 0), P(qubit q -> 1)) of a non-terminal state.
 
-    Accumulates the squared-magnitude mass reaching each level-q node and
+    Accumulates the squared-magnitude mass reaching each qubit-q node and
     splits it through the two branches. Memoized per (root node, root
     weight handle, q), like the collapse.
     """
@@ -265,21 +262,18 @@ def _split(uni: Universe, v: Edge, q: int) -> tuple[float, float]:
     if hit is not None:
         return hit
     ct = uni.ctab
-    if q < v.node.level:
-        raise ValueError(f"qubit {q} above the diagram root {v.node.level}")
+    if not 0 <= q <= v.node.height:
+        raise ValueError(
+            f"qubit {q} out of range for {v.node.height + 1} qubits")
     mass = {v.node: magnitude_squared(v.w)}
-    level = v.node.level
-    while level < q:
+    for _ in range(q):
         nxt: dict = {}
         for node, m in mass.items():
             for e in node.edges:
-                if e.w is ct.zero:
-                    continue
-                if e.node is TERMINAL:
-                    raise ValueError(f"qubit {q} below the diagram depth")
-                nxt[e.node] = nxt.get(e.node, 0.0) + m * magnitude_squared(e.w)
+                if e.w is not ct.zero:
+                    nxt[e.node] = (nxt.get(e.node, 0.0)
+                                   + m * magnitude_squared(e.w))
         mass = nxt
-        level += 1
     p0 = p1 = 0.0
     for node, m in mass.items():
         e0, e1 = node.edges
@@ -300,13 +294,13 @@ def measure_top(uni: Universe, v: Edge, rng) -> tuple[int, Edge]:
     """
     if v.node is TERMINAL:
         raise ValueError("state has no qubits to measure")
-    return measure_qubit(uni, v, v.node.level, rng)
+    return measure_qubit(uni, v, 0, rng)
 
 
 def measure_qubit(uni: Universe, v: Edge, q: int, rng) -> tuple[int, Edge]:
     """Measure qubit q anywhere in the diagram, without SWAP gates.
 
-    Splits the probability mass at level q, draws the outcome like
+    Splits the probability mass at qubit q, draws the outcome like
     measure_top, then collapses and renormalizes.
     """
     if v.node is TERMINAL:

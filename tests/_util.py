@@ -56,8 +56,8 @@ def dd_matrix_to_array(uni: Universe, edge, n: int) -> np.ndarray:
 
 def assert_canonical(uni: Universe, edge) -> None:
     """Every reachable node: first nonzero weight is the interned one,
-    zero weights are stubs to the terminal, no all-zero nodes, levels
-    strictly increase."""
+    zero weights are stubs to the terminal, no all-zero nodes, heights
+    strictly decrease."""
     one = uni.ctab.one
     zero = uni.ctab.zero
     seen = set()
@@ -68,20 +68,20 @@ def assert_canonical(uni: Universe, edge) -> None:
             continue
         seen.add(node)
         nonzero = [e for e in node.edges if e.w is not zero]
-        assert nonzero, f"all-zero node at level {node.level}"
+        assert nonzero, f"all-zero node at height {node.height}"
         assert nonzero[0].w is one, \
-            f"first nonzero weight at level {node.level} is {nonzero[0].w!r}"
+            f"first nonzero weight at height {node.height} is {nonzero[0].w!r}"
         for e in node.edges:
             if e.w is zero:
                 assert e.node is TERMINAL, "zero edge not stubbed"
             elif e.node is not TERMINAL:
-                assert e.node.level > node.level, "level order violated"
+                assert e.node.height < node.height, "height order violated"
                 stack.append(e.node)
 
 
 def assert_interned(uni: Universe, edge) -> None:
-    """Every node reachable from ``edge`` is the one its level's unique
-    table holds for its edges, so no two live nodes share a key."""
+    """Every node reachable from ``edge`` is the one the unique table
+    holds for its edges, so no two live nodes share a key."""
     seen = set()
     stack = [edge.node]
     while stack:
@@ -89,8 +89,8 @@ def assert_interned(uni: Universe, edge) -> None:
         if node is TERMINAL or node in seen:
             continue
         seen.add(node)
-        assert uni._table.get((node.level, node.edges)) is node, \
-            f"node at level {node.level} is not the table's node for its key"
+        assert uni._table.get(node.edges) is node, \
+            f"node at height {node.height} is not the table's node for its key"
         stack.extend(e.node for e in node.edges)
 
 

@@ -147,8 +147,7 @@ def test_01_worked_examples():
 
     h1 = uni.build_matrix([[S, S], [S, -S]])
     i1 = identity_dd(uni, 1)
-    i1_low = uni.make_node(1, *i1.node.edges)
-    h_kron_i = kron(uni, h1, i1_low)
+    h_kron_i = kron(uni, h1, i1)
     padded = build_gate_dd(uni, 2, GateSpec(GateKind.H, 0))
     assert h_kron_i == padded  # kron and padded construction coincide
     got2 = dd_to_array(uni, multiply(uni, h_kron_i, uni.basis_state(2, "00")), 2)

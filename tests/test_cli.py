@@ -215,6 +215,17 @@ class TestRunCommand:
             assert err == ("error: 99999999999 qubits exceed the recursion "
                            "depth of the diagram operations\n")
 
+    def test_huge_gate_rendering_rejected_before_allocating(
+            self, tmp_path, capsys, monkeypatch):
+        def no_chain(*args):
+            raise AssertionError("identity chain built")
+        monkeypatch.setattr(cli.Universe, "identity_chain", no_chain)
+        path = write_circuit(tmp_path, HUGE)
+        code, out, err = invoke(capsys, "dot", path, "--gate", "0")
+        assert code == 2 and out == ""
+        assert err == ("error: 99999999999 qubits exceed the recursion "
+                       "depth of the diagram operations\n")
+
     def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError

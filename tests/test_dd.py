@@ -24,7 +24,7 @@ def uni():
 class TestMakeVectorNode:
     def test_factor_moves_to_edge(self, uni):
         ct = uni.ctab
-        e = uni.make_node(2, Edge(ct.intern(0.5, 0), TERMINAL),
+        e = uni.make_node(Edge(ct.intern(0.5, 0), TERMINAL),
                           Edge(ct.zero, TERMINAL))
         assert e.w.re == 0.5
         assert e.node.edges[0].w is ct.one
@@ -32,11 +32,11 @@ class TestMakeVectorNode:
 
     def test_both_zero_collapses(self, uni):
         z = uni.zero_edge
-        assert uni.make_node(1, z, z) == z
+        assert uni.make_node(z, z) == z
 
     def test_ratio_normalization(self, uni):
         ct = uni.ctab
-        e = uni.make_node(0, Edge(ct.intern(0.5, 0), TERMINAL),
+        e = uni.make_node(Edge(ct.intern(0.5, 0), TERMINAL),
                           Edge(ct.neg_sqrt2_inv, TERMINAL))
         assert e.w.re == 0.5
         assert e.node.edges[0].w is ct.one
@@ -44,26 +44,34 @@ class TestMakeVectorNode:
 
     def test_zero_left_normalizes_by_right(self, uni):
         ct = uni.ctab
-        e = uni.make_node(0, uni.zero_edge,
+        e = uni.make_node(uni.zero_edge,
                           Edge(ct.intern(0, 0.25), TERMINAL))
         assert e.w.im == 0.25
         assert e.node.edges[1].w is ct.one
 
     def test_deduplication(self, uni):
         ct = uni.ctab
-        a = uni.make_node(3, Edge(ct.one, TERMINAL),
+        a = uni.make_node(Edge(ct.one, TERMINAL),
                           Edge(ct.intern(0.5, 0), TERMINAL))
-        b = uni.make_node(3, Edge(ct.intern(2.0, 0), TERMINAL),
+        b = uni.make_node(Edge(ct.intern(2.0, 0), TERMINAL),
                           Edge(ct.one, TERMINAL))
         assert a.node is b.node
         assert b.w.re == 2.0
 
     def test_level_order_enforced(self, uni):
-        inner = uni.make_node(1, Edge(uni.ctab.one, TERMINAL), uni.zero_edge)
+        # a node's height follows from its successors, so nonzero
+        # successors at different heights cannot share a node
+        leaf = Edge(uni.ctab.one, TERMINAL)
+        inner = uni.make_node(leaf, uni.zero_edge)
+        assert inner.node.height == 0
+        assert uni.make_node(inner, uni.zero_edge).node.height == 1
         with pytest.raises(ValueError):
-            uni.make_node(1, inner, uni.zero_edge)
+            uni.make_node(inner, leaf)
         with pytest.raises(ValueError):
-            uni.make_node(2, inner, uni.zero_edge)
+            uni.make_node(leaf, uni.zero_edge, uni.zero_edge, inner)
+        # a zero weight names no height, whatever it points at
+        e = uni.make_node(leaf, Edge(uni.ctab.zero, inner.node))
+        assert e.node is inner.node
 
 
 class TestMakeMatrixNode:
@@ -71,7 +79,7 @@ class TestMakeMatrixNode:
         ct = uni.ctab
         one = Edge(ct.one, TERMINAL)
         neg = Edge(ct.intern(-1, 0), TERMINAL)
-        e = uni.make_node(0, one, one, one, neg)
+        e = uni.make_node(one, one, one, neg)
         assert e.w is ct.one
         assert [x.w.re for x in e.node.edges] == [1, 1, 1, -1]
 
@@ -79,13 +87,13 @@ class TestMakeMatrixNode:
         ct = uni.ctab
         one = Edge(ct.one, TERMINAL)
         z = uni.zero_edge
-        e = uni.make_node(1, one, z, z, one)
+        e = uni.make_node(one, z, z, one)
         assert e.node.edges[1].node is TERMINAL
         assert e.node.edges[3].w is ct.one
 
     def test_all_zero(self, uni):
         z = uni.zero_edge
-        assert uni.make_node(0, z, z, z, z) == z
+        assert uni.make_node(z, z, z, z) == z
 
 
 class TestMakeNode:
@@ -94,7 +102,7 @@ class TestMakeNode:
     @staticmethod
     def check(uni, edges, snapped=()):
         ct = uni.ctab
-        e = uni.make_node(0, *edges)
+        e = uni.make_node(*edges)
         nonzero = [i for i, x in enumerate(edges) if x.w is not ct.zero]
         if not nonzero:
             assert e == uni.zero_edge
@@ -110,15 +118,15 @@ class TestMakeNode:
                 assert y.node is x.node
                 back = w * complex(y.w.re, y.w.im)
                 assert abs(back - complex(x.w.re, x.w.im)) < 1e-10
-        again = uni.make_node(0, *edges)
+        again = uni.make_node(*edges)
         assert again.node is e.node and again.w is e.w
 
     @staticmethod
     def kids(uni, arity):
-        """Two distinct level-1 successors of the given arity."""
+        """Two distinct height-0 successors of the given arity."""
         one = Edge(uni.ctab.one, TERMINAL)
-        return [uni.make_node(1, *[one] * arity).node,
-                uni.make_node(1, one, *[uni.zero_edge] * (arity - 1)).node]
+        return [uni.make_node(*[one] * arity).node,
+                uni.make_node(one, *[uni.zero_edge] * (arity - 1)).node]
 
     @pytest.mark.parametrize("arity", [2, 4])
     def test_random_weight_patterns(self, uni, arity):
@@ -186,6 +194,15 @@ class TestBasisState:
         assert v.node.edges[0].w is uni.ctab.one
         assert v.node.edges[1].w is uni.ctab.zero
 
+    def test_subdiagrams_shared_across_widths(self, uni):
+        # heights count from the terminal, so |01> is the low half of
+        # |0001> whatever the width of the diagram holding it
+        low = uni.basis_state(2, "01")
+        node = uni.basis_state(4, "0001").node
+        for _ in range(2):
+            node = node.edges[0].node
+        assert node is low.node
+
     def test_bad_bits(self, uni):
         with pytest.raises(ValueError):
             uni.basis_state(2, "02")
@@ -213,6 +230,13 @@ class TestReadAmplitude:
         v = uni.basis_state(2, "00")
         with pytest.raises(ValueError):
             uni.read_amplitude(v, 2, 4)
+
+    def test_qubit_count_must_match(self, uni):
+        v = uni.basis_state(2, "11")
+        for n in (1, 3):
+            with pytest.raises(ValueError, match="diagram has 2 qubits"):
+                uni.read_amplitude(v, n, 1)
+        assert uni.read_amplitude(v, 2, 3) == 1
 
 
 class TestMatrices:
@@ -289,6 +313,36 @@ class TestInvariants:
         assert direct.node is computed.node
         assert direct.w is computed.w
 
+    def test_every_live_node_is_its_edges_table_entry(self, uni):
+        # the key is the edge tuple alone: vectors, gates and identity
+        # chains of several widths share one table without collisions
+        from qdd import GateKind, GateSpec, build_gate_dd
+        rng = np.random.default_rng(8)
+        roots = []
+        for n in (1, 2, 3, 5):
+            roots.append(uni.build_vector(list(rng.normal(size=1 << n))))
+            roots.append(uni.basis_state(n, "1" * n))
+            roots.append(build_gate_dd(uni, n, GateSpec(GateKind.H, n - 1)))
+        roots.append(build_gate_dd(uni, 5, GateSpec(GateKind.X, 1,
+                                                    frozenset({0, 4}))))
+        for gc in (False, True):
+            if gc:
+                uni.gc_collect(roots[::2])
+                roots = roots[::2]
+            seen = set()
+            stack = [r.node for r in roots]
+            while stack:
+                node = stack.pop()
+                if node is TERMINAL or node in seen:
+                    continue
+                seen.add(node)
+                assert uni._table[node.edges] is node
+                assert {e.node.height for e in node.edges
+                        if e.w is not uni.ctab.zero} == {node.height - 1}
+                stack.extend(e.node for e in node.edges)
+            if gc:
+                assert len(seen) == uni.live_nodes
+
     def test_unique_table_has_no_duplicates(self, uni):
         # repeated halves and repeated builds meet the same keys again, so
         # a lookup that misses them leaves a stale node behind
@@ -299,8 +353,8 @@ class TestInvariants:
             built += [uni.build_vector(list(np.tile(a, 2))) for _ in range(2)]
         for roots in (built, built[::4]):
             uni.gc_collect(roots)
-            for (level, key), node in uni._table.items():
-                assert node.level == level and node.edges == key
+            for key, node in uni._table.items():
+                assert node.edges == key
             assert uni.live_nodes == len(uni._table)
             for v in roots:
                 assert_interned(uni, v)
@@ -366,6 +420,24 @@ class TestDot:
     def test_dot_zero_diagram(self, uni):
         dot = export_dot(uni.zero_edge)
         assert '[shape=box, label="0"]' in dot
+
+
+def test_read_dense_qubit_count_must_match(uni):
+    v = uni.basis_state(2, "11")
+    for n in (1, 3):
+        with pytest.raises(ValueError, match="diagram has 2 qubits"):
+            uni.read_dense(v, n)
+    assert uni.read_dense(uni.zero_edge, 3) == [0j] * 8
+
+
+def test_read_matrix_entry_qubit_count_must_match(uni):
+    from qdd import GateKind, GateSpec, build_gate_dd
+    cnot = build_gate_dd(uni, 2, GateSpec(GateKind.X, 1, frozenset({0})))
+    for n in (1, 3):
+        with pytest.raises(ValueError, match="diagram has 2 qubits"):
+            uni.read_matrix_entry(cnot, n, 1, 1)
+    assert uni.read_matrix_entry(cnot, 2, 3, 2) == 1
+    assert uni.read_matrix_entry(uni.zero_edge, 3, 3, 2) == 0
 
 
 def test_read_dense_cap(uni):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import qdd.dense as dense
-from qdd import (GateKind, GateSpec, Universe, base2x2, build_gate_dd,
-                 count_nodes, identity_dd, multiply, norm_squared)
+from qdd import (TERMINAL, GateKind, GateSpec, Universe, base2x2,
+                 build_gate_dd, count_nodes, identity_dd, multiply,
+                 norm_squared)
 
 from _util import (assert_interned, dd_matrix_to_array, dd_to_array,
                    random_gate_spec, random_state)
@@ -231,3 +232,28 @@ class TestIdentityDD:
     def test_dense(self, uni):
         got = dd_matrix_to_array(uni, identity_dd(uni, 3), 3)
         assert np.array_equal(got, np.eye(8))
+
+    def test_one_chain_serves_every_width(self, uni):
+        wide = identity_dd(uni, 5)
+        live = uni.live_nodes
+        narrow = identity_dd(uni, 3)
+        assert uni.live_nodes == live
+        assert wide.node.edges[0].node.edges[0].node is narrow.node
+        assert wide.node.edges[3].node.edges[3].node is narrow.node
+
+    def test_gate_nodes_rebuild_to_themselves(self, uni):
+        # a node's height follows from its successors, so make_node over
+        # a stored node's edges finds that node again
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            e = build_gate_dd(uni, 5, random_gate_spec(rng, 5))
+            assert e.node.height == 4
+            stack, seen = [e.node], set()
+            while stack:
+                node = stack.pop()
+                if node is TERMINAL or node in seen:
+                    continue
+                seen.add(node)
+                again = uni.make_node(*node.edges)
+                assert again.node is node and again.w is uni.ctab.one
+                stack.extend(x.node for x in node.edges)

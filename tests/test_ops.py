@@ -37,9 +37,7 @@ class TestKron:
     def test_h_times_identity(self, uni):
         h = uni.build_matrix([[S, S], [S, -S]])
         ident = uni.build_matrix([[1, 0], [0, 1]])
-        # shift the identity's level below h's
-        ident_lo = uni.make_node(1, *ident.node.edges)
-        got = kron(uni, h, ident_lo)
+        got = kron(uni, h, ident)
         want = S * np.array([[1, 0, 1, 0], [0, 1, 0, 1],
                              [1, 0, -1, 0], [0, 1, 0, -1]])
         assert np.allclose(dd_matrix_to_array(uni, got, 2), want, atol=1e-12)
@@ -55,15 +53,20 @@ class TestKron:
             b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             ea = uni.build_matrix(a.tolist())
             eb = uni.build_matrix(b.tolist())
-            eb = _shift_matrix(uni, eb, 2)
             got = dd_matrix_to_array(uni, kron(uni, ea, eb), 4)
             assert np.max(np.abs(got - np.kron(a, b))) < 1e-9
 
     def test_level_overlap_rejected(self, uni):
-        a = uni.build_matrix([[1, 0], [0, 1]])
-        b = uni.build_matrix([[0, 1], [1, 0]])
-        with pytest.raises(ValueError):
-            kron(uni, a, b)
+        # two 1-qubit operands at the same height: kron lifts a over b
+        a = np.array([[1, 0], [0, 1j]])
+        b = np.array([[0, 1], [1, 0]])
+        ea = uni.build_matrix(a.tolist())
+        eb = uni.build_matrix(b.tolist())
+        assert ea.node.height == eb.node.height == 0
+        got = kron(uni, ea, eb)
+        assert got.node.height == 1
+        assert np.allclose(dd_matrix_to_array(uni, got, 2), np.kron(a, b),
+                           atol=1e-12)
 
     def test_zero_operand(self, uni):
         a = uni.build_matrix([[1, 0], [0, 1]])
@@ -73,25 +76,6 @@ class TestKron:
 def _one_edge(uni):
     from qdd import Edge
     return Edge(uni.ctab.one, TERMINAL)
-
-
-def _shift_matrix(uni, edge, offset):
-    """Rebuild a matrix diagram with all levels moved down by offset."""
-    from qdd import Edge
-    memo = {}
-
-    def rec(node):
-        if node is TERMINAL:
-            return node
-        if node in memo:
-            return memo[node]
-        edges = [e if e.w is uni.ctab.zero else Edge(e.w, rec(e.node))
-                 for e in node.edges]
-        res = uni.make_node(node.level + offset, *edges)
-        memo[node] = res.node
-        return res.node
-
-    return type(edge)(edge.w, rec(edge.node))
 
 
 class TestAdd:
@@ -303,10 +287,10 @@ class TestMeasureQubit:
 
 
 def _by_value(edge):
-    """An edge as nested tuples of weight components and node levels."""
+    """An edge as nested tuples of weight components and node heights."""
     node = edge.node
     below = None if node is TERMINAL else (
-        node.level, tuple(_by_value(e) for e in node.edges))
+        node.height, tuple(_by_value(e) for e in node.edges))
     return edge.w.re, edge.w.im, below
 
 
