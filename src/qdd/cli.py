@@ -139,10 +139,11 @@ def _run_and_report(circuit: Circuit, args: argparse.Namespace) -> int:
 
 
 def _dump_state(circuit: Circuit, cfg: EngineConfig) -> list[list[float]]:
-    from .engine import _Simulation  # needs the universe the state lives in
-    sim = _Simulation(circuit, cfg)
-    state = sim.execute()
-    amps = sim.uni.read_dense(state, circuit.n_qubits)
+    from .engine import _collector_paused, _Simulation  # for sim.uni
+    with _collector_paused():
+        sim = _Simulation(circuit, cfg)
+        amps = sim.uni.read_dense(sim.execute(), circuit.n_qubits)
+        del sim  # free the universe before the pause ends
     return [[a.real, a.imag] for a in amps]
 
 

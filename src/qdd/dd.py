@@ -217,18 +217,7 @@ class Universe:
         size = len(amplitudes)
         if size == 0 or size & (size - 1):
             raise ValueError(f"length {size} is not a power of two")
-        ct = self.ctab
-
-        def build(offset: int, span: int) -> Edge:
-            if span == 1:
-                a = complex(amplitudes[offset])
-                return Edge(ct.intern(a.real, a.imag), TERMINAL)
-            half = span // 2
-            e0 = build(offset, half)
-            e1 = build(offset + half, half)
-            return self.make_node(e0, e1)
-
-        return build(0, size)
+        return _build_vector(self, amplitudes, 0, size)
 
     def _check_width(self, e: Edge, n: int) -> None:
         if e.w is not self.ctab.zero and e.node.height != n - 1:
@@ -253,20 +242,7 @@ class Universe:
             raise ValueError(f"read_dense caps at 20 qubits, got {n}")
         self._check_width(v, n)
         out = [0j] * (1 << n)
-
-        def fill(edge: Edge, offset: int, scale: complex) -> None:
-            w = scale * complex(edge.w.re, edge.w.im)
-            if w == 0:
-                return
-            node = edge.node
-            if node is TERMINAL:
-                out[offset] = w
-                return
-            half = 1 << node.height
-            fill(node.edges[0], offset, w)
-            fill(node.edges[1], offset + half, w)
-
-        fill(v, 0, 1.0 + 0j)
+        _fill_dense(out, v, 0, 1.0 + 0j)
         return out
 
     # -- matrix construction and readout ---------------------------------
@@ -278,21 +254,7 @@ class Universe:
             raise ValueError(f"dimension {size} is not a power of two")
         if any(len(row) != size for row in entries):
             raise ValueError("matrix is not square")
-        ct = self.ctab
-
-        def build(row: int, col: int, span: int) -> Edge:
-            if span == 1:
-                a = complex(entries[row][col])
-                return Edge(ct.intern(a.real, a.imag), TERMINAL)
-            half = span // 2
-            return self.make_node(
-                build(row, col, half),
-                build(row, col + half, half),
-                build(row + half, col, half),
-                build(row + half, col + half, half),
-            )
-
-        return build(0, 0, size)
+        return _build_matrix(self, entries, 0, 0, size)
 
     def read_matrix_entry(self, m: Edge, n: int, row: int, col: int) -> complex:
         """Entry (row, col): row indexes the output basis state."""
@@ -324,6 +286,49 @@ class Universe:
         self.cache.clear()
         self.identity_nodes = {nd for nd in self.identity_nodes if nd in live}
         return before - len(self._table)
+
+
+# Recursions take explicit arguments instead of closing over them: a
+# recursive closure is a reference cycle that keeps the universe alive
+# until the cycle collector runs, which qdd.engine pauses.
+
+def _build_vector(uni: Universe, amplitudes: Sequence[complex], offset: int,
+                  span: int) -> Edge:
+    if span == 1:
+        a = complex(amplitudes[offset])
+        return Edge(uni.ctab.intern(a.real, a.imag), TERMINAL)
+    half = span // 2
+    e0 = _build_vector(uni, amplitudes, offset, half)
+    e1 = _build_vector(uni, amplitudes, offset + half, half)
+    return uni.make_node(e0, e1)
+
+
+def _build_matrix(uni: Universe, entries: Sequence[Sequence[complex]],
+                  row: int, col: int, span: int) -> Edge:
+    if span == 1:
+        a = complex(entries[row][col])
+        return Edge(uni.ctab.intern(a.real, a.imag), TERMINAL)
+    half = span // 2
+    return uni.make_node(
+        _build_matrix(uni, entries, row, col, half),
+        _build_matrix(uni, entries, row, col + half, half),
+        _build_matrix(uni, entries, row + half, col, half),
+        _build_matrix(uni, entries, row + half, col + half, half),
+    )
+
+
+def _fill_dense(out: list[complex], edge: Edge, offset: int,
+                scale: complex) -> None:
+    w = scale * complex(edge.w.re, edge.w.im)
+    if w == 0:
+        return
+    node = edge.node
+    if node is TERMINAL:
+        out[offset] = w
+        return
+    half = 1 << node.height
+    _fill_dense(out, node.edges[0], offset, w)
+    _fill_dense(out, node.edges[1], offset + half, w)
 
 
 def _reachable(roots: Iterable[Edge]) -> dict[Node, None]:

@@ -7,12 +7,21 @@ multiplication, and the squared norm is checked against 1 after each one.
 Node statistics are sampled at op boundaries, where they are
 well-defined, so identical configs reproduce identical stats (modulo
 wall time).
+
+Diagrams are acyclic and the diagram code makes no reference cycles, so
+reference counts free what a simulation drops and Universe.gc_collect
+trims the tables. Python's cycle collector would find nothing, yet it
+re-walks every live node as the tables grow, so run and sample pause it
+(process-wide, as the single-owner contract allows) and restore the
+caller's setting when they return or raise.
 """
 
 from __future__ import annotations
 
+import gc
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .circuit import Circuit, GateOp, MeasureAllOp, MeasureOp
@@ -111,6 +120,20 @@ class _Simulation:
         return self.state
 
 
+@contextmanager
+def _collector_paused():
+    """gc.disable() until exit, then the caller's gc.isenabled() state.
+    Free the universe inside: after gc.enable(), the first allocation
+    traverses every object allocated during the pause that still lives."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def run(circuit: Circuit, config: EngineConfig | None = None,
         on_op=None) -> tuple[Edge, SimStats]:
     """Execute the circuit once; returns (final state, stats).
@@ -119,10 +142,11 @@ def run(circuit: Circuit, config: EngineConfig | None = None,
     is called after each op, for instrumentation.
     """
     cfg = config if config is not None else EngineConfig()
-    t0 = time.perf_counter()
-    sim = _Simulation(circuit, cfg)
-    sim.execute(on_op)
-    sim.stats.wall_time_ms = (time.perf_counter() - t0) * 1e3
+    with _collector_paused():
+        t0 = time.perf_counter()
+        sim = _Simulation(circuit, cfg)
+        sim.execute(on_op)
+        sim.stats.wall_time_ms = (time.perf_counter() - t0) * 1e3
     return sim.state, sim.stats
 
 
@@ -149,6 +173,11 @@ def sample(circuit: Circuit, config: EngineConfig | None = None) -> SimStats:
     cfg = config if config is not None else EngineConfig()
     if cfg.shots < 1:
         raise ValueError(f"shots must be at least 1, got {cfg.shots}")
+    with _collector_paused():
+        return _sample(circuit, cfg)  # its frame owns the universe
+
+
+def _sample(circuit: Circuit, cfg: EngineConfig) -> SimStats:
     t0 = time.perf_counter()
     resimulate = _measures_mid_circuit(circuit)
     if not resimulate:

@@ -55,22 +55,25 @@ def kron(uni: Universe, a: Edge, b: Edge) -> Edge:
     ct = uni.ctab
     if a.w is ct.zero or b.w is ct.zero:
         return uni.zero_edge
-    memo: dict = {}
+    return Edge(ct.cmul(a.w, b.w), _kron_rebuild(uni, {}, a.node, b.node))
 
-    def rebuild(node):
-        if node is TERMINAL:
-            return b.node
-        got = memo.get(node)
-        if got is not None:
-            return got
-        edges = [e if e.w is ct.zero else Edge(e.w, rebuild(e.node))
-                 for e in node.edges]
-        res = uni.make_node(*edges)
-        # weights were normalized already, so no factor comes back up
-        memo[node] = res.node
-        return res.node
 
-    return Edge(ct.cmul(a.w, b.w), rebuild(a.node))
+def _kron_rebuild(uni: Universe, memo: dict, node, below):
+    """``node`` of a, rebuilt over b's root node ``below`` (no closure: see
+    the note above qdd.dd._build_vector)."""
+    if node is TERMINAL:
+        return below
+    got = memo.get(node)
+    if got is not None:
+        return got
+    zero = uni.ctab.zero
+    edges = [e if e.w is zero else
+             Edge(e.w, _kron_rebuild(uni, memo, e.node, below))
+             for e in node.edges]
+    res = uni.make_node(*edges)
+    # weights were normalized already, so no factor comes back up
+    memo[node] = res.node
+    return res.node
 
 
 # -- addition --------------------------------------------------------------
@@ -217,37 +220,40 @@ def _collapse(uni: Universe, v: Edge, q: int, outcome: int, prob: float) -> Edge
     outlasts the call: a later shot that meets the same state reuses it.
     gc_collect drops it with the rest of the cache.
     """
-    ct = uni.ctab
-    stub = uni.zero_edge
     height = v.node.height - q
     memo = uni.cache.collapse.setdefault((height, outcome), {})
-
-    def rebuild(node) -> Edge:
-        got = memo.get(node)
-        if got is not None:
-            return got
-        if node.height == height:
-            kept = node.edges[outcome]
-            if outcome == 0:
-                res = uni.make_node(kept, stub)
-            else:
-                res = uni.make_node(stub, kept)
-        else:
-            parts = []
-            for e in node.edges:
-                if e.w is ct.zero:
-                    parts.append(stub)
-                else:
-                    sub = rebuild(e.node)
-                    parts.append(_edge(uni, ct.cmul(e.w, sub.w), sub.node))
-            res = uni.make_node(*parts)
-        memo[node] = res
-        return res
-
-    collapsed = rebuild(v.node)
+    collapsed = _collapse_node(uni, memo, v.node, height, outcome)
+    ct = uni.ctab
     scale = ct.intern(1.0 / math.sqrt(prob), 0.0)
     w = ct.cmul(ct.cmul(v.w, collapsed.w), scale)
     return _edge(uni, w, collapsed.node)
+
+
+def _collapse_node(uni: Universe, memo: dict, node, height: int,
+                   outcome: int) -> Edge:
+    """_collapse's rebuild of one node."""
+    got = memo.get(node)
+    if got is not None:
+        return got
+    stub = uni.zero_edge
+    if node.height == height:
+        kept = node.edges[outcome]
+        if outcome == 0:
+            res = uni.make_node(kept, stub)
+        else:
+            res = uni.make_node(stub, kept)
+    else:
+        ct = uni.ctab
+        parts = []
+        for e in node.edges:
+            if e.w is ct.zero:
+                parts.append(stub)
+            else:
+                sub = _collapse_node(uni, memo, e.node, height, outcome)
+                parts.append(_edge(uni, ct.cmul(e.w, sub.w), sub.node))
+        res = uni.make_node(*parts)
+    memo[node] = res
+    return res
 
 
 def _split(uni: Universe, v: Edge, q: int) -> tuple[float, float]:

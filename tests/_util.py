@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 
 from qdd import (Circuit, GateKind, GateOp, GateSpec, TERMINAL, Universe,
@@ -97,3 +99,19 @@ def assert_interned(uni: Universe, edge) -> None:
 def assert_valid_state(uni: Universe, edge, tol: float = 1e-8) -> None:
     assert_canonical(uni, edge)
     assert abs(norm_squared(uni, edge) - 1.0) < tol
+
+
+def cyclic_garbage(fn, *args) -> int:
+    """Objects in reference cycles that one call fn(*args) leaves behind,
+    after one warm-up call; the result is dropped before counting. The
+    caller's collector state is restored."""
+    enabled = gc.isenabled()
+    fn(*args)
+    gc.collect()
+    gc.disable()
+    try:
+        fn(*args)
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()

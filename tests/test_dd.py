@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from qdd import TERMINAL, Edge, Universe, count_nodes, export_dot
 
-from _util import (assert_canonical, assert_interned, dd_matrix_to_array,
-                   dd_to_array)
+from _util import (assert_canonical, assert_interned, cyclic_garbage,
+                   dd_matrix_to_array, dd_to_array)
 
 S = 1 / math.sqrt(2)
 
@@ -444,3 +444,10 @@ def test_read_dense_cap(uni):
     v = uni.basis_state(2, "00")
     with pytest.raises(ValueError):
         uni.read_dense(v, 21)
+
+
+def test_construction_and_readout_leave_no_cyclic_garbage(uni):
+    assert cyclic_garbage(uni.build_vector, WORKED_VECTOR) == 0
+    assert cyclic_garbage(uni.build_matrix, [[S, S], [S, -S]]) == 0
+    v = uni.build_vector(WORKED_VECTOR)
+    assert cyclic_garbage(uni.read_dense, v, 3) == 0

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 
 import numpy as np
@@ -6,10 +7,11 @@ import pytest
 
 import qdd.dense as dense
 from qdd import (Circuit, EngineConfig, GateKind, GateOp, GateSpec,
-                 MeasureAllOp, Universe, build_gate_dd, count_nodes,
-                 gate_dd_for, gen_entangle, gen_qft, parse, run, sample)
+                 MeasureAllOp, NormDriftError, Universe, build_gate_dd,
+                 count_nodes, gate_dd_for, gen_entangle, gen_qft, parse, run,
+                 sample)
 
-from _util import dft_matrix, random_circuit
+from _util import cyclic_garbage, dft_matrix, random_circuit
 
 S = 1 / math.sqrt(2)
 
@@ -245,3 +247,41 @@ class TestNormCheck:
     def test_norm_deviation_reported_small(self):
         _, stats = run(gen_qft(8, "10101010"))
         assert stats.final_norm_deviation < 1e-10
+
+
+class TestCollectorPause:
+    MID = TestNodeCountMemo.MID
+
+    @pytest.mark.parametrize("entry", [run, sample])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_caller_state_restored(self, entry, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            entry(parse(self.MID), EngineConfig(shots=5))
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("entry", [run, sample])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_caller_state_restored_on_error(self, entry, enabled,
+                                            monkeypatch):
+        import qdd.engine as engine
+
+        def drift(uni, gate, state):
+            raise NormDriftError("forced", deviation=1.0)
+        monkeypatch.setattr(engine, "multiply", drift)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(NormDriftError, match="forced"):
+                entry(parse(self.MID), EngineConfig(shots=5))
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("threshold", [1_000_000, 20])
+    def test_sample_leaves_no_cyclic_garbage(self, threshold):
+        cfg = EngineConfig(seed=3, shots=20, gc_threshold=threshold)
+        assert cyclic_garbage(sample, parse(self.MID), cfg) == 0

@@ -10,8 +10,8 @@ from qdd import (GateKind, GateSpec, TERMINAL, Universe, add,
                  measure_top, multiply, node_probability, norm_squared,
                  qubit_probabilities, NormDriftError)
 
-from _util import (assert_interned, assert_valid_state, dd_matrix_to_array,
-                   dd_to_array, random_state)
+from _util import (assert_interned, assert_valid_state, cyclic_garbage,
+                   dd_matrix_to_array, dd_to_array, random_state)
 
 S = 1 / math.sqrt(2)
 
@@ -71,6 +71,11 @@ class TestKron:
     def test_zero_operand(self, uni):
         a = uni.build_matrix([[1, 0], [0, 1]])
         assert kron(uni, a, uni.zero_edge) == uni.zero_edge
+
+    def test_leaves_no_cyclic_garbage(self, uni):
+        a = uni.build_matrix([[S, S], [S, -S]])
+        b = uni.build_matrix([[1, 0], [0, 1j]])
+        assert cyclic_garbage(kron, uni, a, b) == 0
 
 
 def _one_edge(uni):
