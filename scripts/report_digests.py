@@ -10,10 +10,12 @@ written here from fixed seeds, so both trees read the same inputs:
     diff old.txt new.txt
 
 The calls cover 12 random circuits (no, trailing and mid-circuit
-measurement), each at the default GC threshold and at 20, plus
-``--dump-state``, ``dot``, ``dot --gate``, four ``bench`` runs and one
-bad input. Exits 1 if any call ends in a traceback or an undocumented
-exit code.
+measurement), each at the default GC threshold and at 20; five
+unstructured 10-qubit, 300-gate H/T/CX circuits, each at both
+thresholds, three of which exit 3 with a NormDriftError;
+``--dump-state`` with no, trailing and mid-circuit measurement;
+``dot``, ``dot --gate``, four ``bench`` runs and one bad input. Exits 1
+if any call ends in a traceback or an undocumented exit code.
 """
 
 import hashlib
@@ -25,6 +27,8 @@ import sys
 import tempfile
 
 SINGLE = ("x", "y", "z", "h", "s", "sdg", "t", "tdg")
+# (seed, job) of perfbench's clifford-t-10 workload; the last three drift
+CLIFFORD_T = ((1, 0), (1, 1), (23, 2), (34, 0), (40, 0))
 WALL_TIME = re.compile(r'"wall_time_ms": [^,\n]*')
 
 
@@ -58,14 +62,36 @@ def random_circuit(seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def clifford_t_circuit(seed: int, job: int) -> tuple[str, int]:
+    """Job ``job`` of perfbench's clifford-t-10 workload at ``seed``: H
+    (30%), T (20%) or CX (50%) on drawn qubits, 300 gates on 10, and the
+    engine seed drawn after them."""
+    rng = random.Random(f"clifford-t-10/{seed}/{job}")
+    lines = ["qubits 10"]
+    for _ in range(300):
+        r = rng.random()
+        if r < 0.3:
+            lines.append(f"h {rng.randrange(10)}")
+        elif r < 0.5:
+            lines.append(f"t {rng.randrange(10)}")
+        else:
+            lines.append("cx {} {}".format(*rng.sample(range(10), 2)))
+    return "\n".join(lines) + "\n", rng.randrange(1 << 31)
+
+
 def invocations() -> list[list[str]]:
     calls = []
     for seed in range(12):
         run = ["run", f"rand{seed:02d}.qdd", "--seed", str(seed),
                "--shots", "20"]
         calls += [run, run + ["--gc-threshold", "20"]]
+    for seed, job in CLIFFORD_T:
+        run = ["run", f"ct{seed:02d}-{job}.qdd", "--seed",
+               str(clifford_t_circuit(seed, job)[1]), "--shots", "20"]
+        calls += [run, run + ["--gc-threshold", "20"]]
     calls += [
         ["run", "rand00.qdd", "--dump-state"],
+        ["run", "rand01.qdd", "--dump-state"],
         ["run", "rand02.qdd", "--dump-state", "--seed", "5"],
         ["dot", "rand00.qdd"],
         ["dot", "rand02.qdd", "--seed", "3"],
@@ -89,6 +115,9 @@ def main() -> int:
         for seed in range(12):
             with open(os.path.join(tmp, f"rand{seed:02d}.qdd"), "w") as f:
                 f.write(random_circuit(seed))
+        for seed, job in CLIFFORD_T:
+            with open(os.path.join(tmp, f"ct{seed:02d}-{job}.qdd"), "w") as f:
+                f.write(clifford_t_circuit(seed, job)[0])
         with open(os.path.join(tmp, "bad.qdd"), "w") as f:
             f.write("qubits 2\nh 0\ncx 0 5\n")
         for args in invocations():

@@ -1,16 +1,17 @@
 """Interned complex numbers with tolerance-based identity.
 
 Every amplitude and matrix entry lives in a ComplexTable and is passed
-around as a handle. A lookup that lands within ``tol`` of an existing
-entry (per component) returns that entry's handle, so object identity
-doubles as approximate value equality. This is what keeps floating-point
-noise from breaking node sharing in the diagrams built on top: two
-structurally equal nodes hash to the same unique-table slot because their
-edge weights are the *same objects*.
+around as a handle, a ``complex`` the table made. A lookup that lands
+within DEFAULT_TOL of an entry (per component) returns that entry, so
+object identity doubles as approximate value equality. This is what
+keeps floating-point noise from breaking node sharing in the diagrams
+built on top: two structurally equal nodes hash to the same unique-table
+slot because their edge weights are the *same objects*.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
@@ -23,73 +24,65 @@ _PROBE_OFFSETS = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1),
                   (-1, -1), (-1, 1), (1, -1), (1, 1))
 
 
-class ComplexValue:
-    """Handle to one interned complex number. Compare handles with ``is``."""
+class ComplexValue(complex):
+    """Handle to one interned complex number; ``idx`` is its creation rank,
+    for deterministic orderings. Handles mix with plain ``complex`` and
+    compare by value, but a table never holds two equal ones: compare
+    handles with ``is``."""
 
-    __slots__ = ("re", "im", "idx")
-
-    def __init__(self, re: float, im: float, idx: int):
-        self.re = re
-        self.im = im
-        self.idx = idx  # creation rank; used for deterministic orderings
-
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-    def __repr__(self) -> str:
-        return f"ComplexValue({self.re!r}, {self.im!r})"
+    __slots__ = ("idx",)
 
 
-def magnitude_squared(a: ComplexValue) -> float:
+def magnitude_squared(a: complex) -> float:
     """|a|^2 as a plain float (never interned)."""
-    return a.re * a.re + a.im * a.im
+    re, im = a.real, a.imag
+    return re * re + im * im
 
 
 class ComplexTable:
-    """Interning table with per-component tolerance ``tol`` (DEFAULT_TOL).
+    """Interning table with the per-component tolerance DEFAULT_TOL.
 
-    Values are bucketed by flooring each component into tol-sized cells;
-    lookups probe the neighboring cells so values straddling a cell border
-    still unify. Two values in the same cell are always within tolerance,
-    so each cell holds at most one entry.
+    Values are bucketed by flooring each component into tolerance-sized
+    cells; lookups probe the neighboring cells so values straddling a cell
+    border still unify. Two values in the same cell are always within
+    tolerance, so each cell holds at most one entry, and entries are never
+    removed: the table's size is the next entry's rank.
 
     The table is single-owner: no internal locking, not safe for
     concurrent mutation. The constants 0, 1, 1/sqrt(2) and -1/sqrt(2) are
-    pre-interned and stable for the table's lifetime.
+    pre-interned, in that order, and stable for the table's lifetime.
     """
 
     def __init__(self):
-        self.tol = DEFAULT_TOL
         self._cells: dict[tuple[int, int], ComplexValue] = {}
-        self._count = 0
-        self.zero = self.intern(0.0, 0.0)
-        self.one = self.intern(1.0, 0.0)
-        self.sqrt2_inv = self.intern(SQRT2_INV, 0.0)
-        self.neg_sqrt2_inv = self.intern(-SQRT2_INV, 0.0)
+        self.zero = self.intern(0.0)
+        self.one = self.intern(1.0)
+        self.sqrt2_inv = self.intern(SQRT2_INV)
+        self.neg_sqrt2_inv = self.intern(-SQRT2_INV)
 
     def __len__(self) -> int:
         return len(self._cells)
 
-    def intern(self, re: float, im: float) -> ComplexValue:
-        """Return the canonical handle for ``re + im*i``.
+    def intern(self, z: complex) -> ComplexValue:
+        """Return the canonical handle for ``z``.
 
-        Repeated calls with inputs within ``tol`` of each other (per
+        Repeated calls with inputs within DEFAULT_TOL of each other (per
         component) return the identical handle. Non-finite components are
         rejected.
         """
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise ValueError(f"cannot intern non-finite value ({re!r}, {im!r})")
-        tol = self.tol
-        cr = math.floor(re / tol)
-        ci = math.floor(im / tol)
+        if not cmath.isfinite(z):
+            raise ValueError(f"cannot intern non-finite value {z!r}")
+        re, im = z.real, z.imag
+        cr = math.floor(re / DEFAULT_TOL)
+        ci = math.floor(im / DEFAULT_TOL)
         cells = self._cells
         for dr, di in _PROBE_OFFSETS:
             hit = cells.get((cr + dr, ci + di))
-            if hit is not None and abs(hit.re - re) < tol and abs(hit.im - im) < tol:
+            if (hit is not None and abs(hit.real - re) < DEFAULT_TOL
+                    and abs(hit.imag - im) < DEFAULT_TOL):
                 return hit
-        value = ComplexValue(re, im, self._count)
-        self._count += 1
-        cells[(cr, ci)] = value
+        value = cells[cr, ci] = ComplexValue(z)
+        value.idx = len(cells) - 1
         return value
 
     # Arithmetic is exact double-precision on the components; only the
@@ -103,23 +96,25 @@ class ComplexTable:
             return a
         if a is self.zero or b is self.zero:
             return self.zero
-        return self.intern(a.re * b.re - a.im * b.im,
-                           a.re * b.im + a.im * b.re)
+        return self.intern(a * b)
 
     def cadd(self, a: ComplexValue, b: ComplexValue) -> ComplexValue:
         if a is self.zero:
             return b
         if b is self.zero:
             return a
-        return self.intern(a.re + b.re, a.im + b.im)
+        return self.intern(a + b)
 
     def cdiv(self, a: ComplexValue, b: ComplexValue) -> ComplexValue:
-        if b is self.zero or magnitude_squared(b) < self.tol * self.tol:
-            raise ZeroDivisionError(f"divisor magnitude below tolerance: {b!r}")
         if b is self.one:
             return a
+        # The explicit formula, not a / b: CPython divides another way.
+        br, bi = b.real, b.imag
+        d = br * br + bi * bi
+        if d < DEFAULT_TOL * DEFAULT_TOL:
+            raise ZeroDivisionError(f"divisor magnitude below tolerance: {b!r}")
         if a is self.zero:
             return self.zero
-        d = b.re * b.re + b.im * b.im
-        return self.intern((a.re * b.re + a.im * b.im) / d,
-                           (a.im * b.re - a.re * b.im) / d)
+        ar, ai = a.real, a.imag
+        return self.intern(complex((ar * br + ai * bi) / d,
+                                   (ai * br - ar * bi) / d))

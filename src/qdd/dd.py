@@ -85,7 +85,8 @@ class ComputeCache:
     to a per-node rebuild memo, so a state that a later shot measures
     again costs a lookup. ``gates`` holds build_gate_dd's diagrams and
     ``chain`` identity_chain's. Garbage collection drops the whole cache,
-    these memos included, because a memoized result may name a swept node.
+    these memos included, because a memoized result may name a swept node;
+    only the chain's live prefix stays.
     """
 
     def __init__(self):
@@ -107,13 +108,11 @@ class Universe:
 
     Holds the complex table, the unique table, the compute cache (which
     gc_collect drops, so that no swept node is reused) and the shared zero
-    edge. The identity-chain nodes that survive a collection stay in
-    ``identity_nodes``, which multiply passes through unchanged. Nodes are
-    keyed by their edge tuple alone (a pair for a vector node, a 4-tuple
-    for a matrix node), so both kinds share the table without colliding;
-    its size is the live node count. All diagram construction
-    goes through make_node (or its shortcut make_diagonal_node), which
-    normalizes and deduplicates.
+    edge. Nodes are keyed by their edge tuple alone (a pair for a vector
+    node, a 4-tuple for a matrix node), so both kinds share the table
+    without colliding; its size is the live node count. All diagram
+    construction goes through make_node (or its shortcut
+    make_diagonal_node), which normalizes and deduplicates.
     """
 
     def __init__(self):
@@ -123,7 +122,6 @@ class Universe:
         # compare by value, so one instance serves them all
         self.zero_edge = Edge(self.ctab.zero, TERMINAL)
         self._table: dict[tuple, Node] = {}
-        self.identity_nodes: set[Node] = set()
         self._node_seq = 0
 
     # -- bookkeeping ----------------------------------------------------
@@ -177,13 +175,12 @@ class Universe:
 
     def identity_chain(self, n: int) -> list[Edge]:
         """``chain[h]`` is the identity over h qubits, for every h <= n, and
-        ``chain[0]`` the terminal edge; memoized until gc_collect."""
+        ``chain[0]`` the terminal edge; gc_collect keeps its live prefix."""
         chain = self.cache.chain
         if not chain:
             chain.append(Edge(self.ctab.one, TERMINAL))
         while len(chain) <= n:
             chain.append(self.make_diagonal_node(chain[-1]))
-            self.identity_nodes.add(chain[-1].node)
         return chain
 
     def make_diagonal_node(self, e: Edge) -> Edge:
@@ -228,11 +225,11 @@ class Universe:
         if not 0 <= index < (1 << n):
             raise ValueError(f"index {index} out of range for {n} qubits")
         self._check_width(v, n)
-        w = complex(v.w.re, v.w.im)
+        w = complex(v.w)
         node = v.node
         while node is not TERMINAL and w != 0:
             e = node.edges[(index >> node.height) & 1]
-            w *= complex(e.w.re, e.w.im)
+            w *= e.w
             node = e.node
         return w
 
@@ -262,12 +259,12 @@ class Universe:
         if not (0 <= row < dim and 0 <= col < dim):
             raise ValueError(f"entry ({row}, {col}) out of range for {n} qubits")
         self._check_width(m, n)
-        w = complex(m.w.re, m.w.im)
+        w = complex(m.w)
         node = m.node
         while node is not TERMINAL and w != 0:
             h = node.height
             e = node.edges[((row >> h) & 1) * 2 + ((col >> h) & 1)]
-            w *= complex(e.w.re, e.w.im)
+            w *= e.w
             node = e.node
         return w
 
@@ -276,15 +273,17 @@ class Universe:
     def gc_collect(self, roots: Iterable[Edge]) -> int:
         """Drop nodes unreachable from ``roots``; returns the freed count.
 
-        Invalidates the compute cache (the identity chain and gate diagrams
-        included) and keeps only the live identity nodes. Never called
-        implicitly, so peak statistics stay deterministic.
+        Invalidates the compute cache, gate diagrams included, but keeps
+        the identity chain's live prefix, which multiply passes through.
+        Never called implicitly, so peak statistics stay deterministic.
         """
         live = _reachable(roots)
         before = len(self._table)
         self._table = {k: nd for k, nd in self._table.items() if nd in live}
+        chain = self.cache.chain
         self.cache.clear()
-        self.identity_nodes = {nd for nd in self.identity_nodes if nd in live}
+        self.cache.chain = [e for e in chain
+                            if e.node is TERMINAL or e.node in live]
         return before - len(self._table)
 
 
@@ -295,8 +294,7 @@ class Universe:
 def _build_vector(uni: Universe, amplitudes: Sequence[complex], offset: int,
                   span: int) -> Edge:
     if span == 1:
-        a = complex(amplitudes[offset])
-        return Edge(uni.ctab.intern(a.real, a.imag), TERMINAL)
+        return Edge(uni.ctab.intern(complex(amplitudes[offset])), TERMINAL)
     half = span // 2
     e0 = _build_vector(uni, amplitudes, offset, half)
     e1 = _build_vector(uni, amplitudes, offset + half, half)
@@ -306,8 +304,7 @@ def _build_vector(uni: Universe, amplitudes: Sequence[complex], offset: int,
 def _build_matrix(uni: Universe, entries: Sequence[Sequence[complex]],
                   row: int, col: int, span: int) -> Edge:
     if span == 1:
-        a = complex(entries[row][col])
-        return Edge(uni.ctab.intern(a.real, a.imag), TERMINAL)
+        return Edge(uni.ctab.intern(complex(entries[row][col])), TERMINAL)
     half = span // 2
     return uni.make_node(
         _build_matrix(uni, entries, row, col, half),
@@ -319,7 +316,7 @@ def _build_matrix(uni: Universe, entries: Sequence[Sequence[complex]],
 
 def _fill_dense(out: list[complex], edge: Edge, offset: int,
                 scale: complex) -> None:
-    w = scale * complex(edge.w.re, edge.w.im)
+    w = scale * edge.w
     if w == 0:
         return
     node = edge.node
@@ -360,11 +357,7 @@ def count_nodes(edge: Edge) -> int:
 
 
 def _format_weight(w: ComplexValue) -> str:
-    return f"{w.re:.6g}{w.im:+.6g}i"
-
-
-def _is_zero_stub(e: Edge) -> bool:
-    return e.node is TERMINAL and e.w.re == 0.0 and e.w.im == 0.0
+    return f"{w.real:.6g}{w.imag:+.6g}i"
 
 
 def export_dot(edge: Edge) -> str:
@@ -389,7 +382,7 @@ def export_dot(edge: Edge) -> str:
 
     def emit(src: str, e: Edge) -> None:
         nonlocal stubs
-        if _is_zero_stub(e):
+        if e.node is TERMINAL and e.w == 0:
             name = f"z{stubs}"
             stubs += 1
             lines.append(f'  {name} [shape=box, label="0"];')

@@ -40,7 +40,6 @@ class EngineConfig:
 
 @dataclass
 class SimStats:
-    n_qubits: int
     gates_applied: int = 0
     peak_vector_nodes: int = 0
     peak_unique_nodes: int = 0
@@ -67,7 +66,7 @@ class _Simulation:
         self.config = config
         self.uni = Universe()
         self.rng = random.Random(config.seed)
-        self.stats = SimStats(n_qubits=circuit.n_qubits)
+        self.stats = SimStats()
 
     def _note_state(self) -> None:
         st = self.stats

@@ -122,7 +122,7 @@ def build_gate_dd(uni: Universe, n: int, spec: GateSpec) -> Edge:
     tracks = []
     for row in base2x2(spec.kind, spec.param):
         for a in row:
-            w = ct.intern(a.real, a.imag)
+            w = ct.intern(a)
             tracks.append(zero if w is ct.zero else Edge(w, chain[low].node))
     for h in range(low, target):
         for k, t in enumerate(tracks):

@@ -137,7 +137,8 @@ def _mul_nodes(uni: Universe, un, vn) -> Edge:
     if un.height != vn.height:
         raise ValueError(
             f"operands span different qubit counts: {un.height} vs {vn.height}")
-    if un in uni.identity_nodes:
+    h = un.height + 1
+    if h < len(cache.chain) and cache.chain[h].node is un:
         # what the recursion returns: cmul and cdiv by the interned 1
         # hand their other operand back unchanged
         return Edge(ct.one, vn)
@@ -224,7 +225,7 @@ def _collapse(uni: Universe, v: Edge, q: int, outcome: int, prob: float) -> Edge
     memo = uni.cache.collapse.setdefault((height, outcome), {})
     collapsed = _collapse_node(uni, memo, v.node, height, outcome)
     ct = uni.ctab
-    scale = ct.intern(1.0 / math.sqrt(prob), 0.0)
+    scale = ct.intern(1.0 / math.sqrt(prob))
     w = ct.cmul(ct.cmul(v.w, collapsed.w), scale)
     return _edge(uni, w, collapsed.node)
 

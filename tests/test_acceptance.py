@@ -163,7 +163,7 @@ def test_02_measurement_example():
     v = uni.build_vector([0, 0, 0.5, 0, 0.5, 0, -S, 0])
     p0, p1 = qubit_probabilities(uni, v)
     outcome, post = measure_top(uni, v, Forced(0.999))
-    weight_err = abs(complex(post.w.re, post.w.im) - 1 / math.sqrt(3))
+    weight_err = abs(complex(post.w) - 1 / math.sqrt(3))
     elapsed = time.perf_counter() - t0
     ok = (abs(p0 - 0.25) <= 1e-12 and abs(p1 - 0.75) <= 1e-12
           and outcome == 1 and weight_err <= 1e-12 and elapsed < 1.0)

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qdd import ComplexTable, magnitude_squared
+from qdd.cvalue import DEFAULT_TOL
 
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False,
                    allow_infinity=False)
@@ -16,44 +17,45 @@ def table():
 
 
 def test_preinterned_constants(table):
-    assert table.zero.re == 0.0 and table.zero.im == 0.0
-    assert table.one.re == 1.0
-    assert table.sqrt2_inv.re == pytest.approx(1 / math.sqrt(2), abs=0)
-    assert table.neg_sqrt2_inv.re == -table.sqrt2_inv.re
-    assert table.intern(0.0, 0.0) is table.zero
-    assert table.intern(1.0, 0.0) is table.one
+    assert table.zero.real == 0.0 and table.zero.imag == 0.0
+    assert table.one.real == 1.0
+    assert table.sqrt2_inv.real == pytest.approx(1 / math.sqrt(2), abs=0)
+    assert table.neg_sqrt2_inv.real == -table.sqrt2_inv.real
+    assert table.intern(complex(0.0, 0.0)) is table.zero
+    assert table.intern(complex(1.0, 0.0)) is table.one
 
 
 def test_nearby_values_unify(table):
-    a = table.intern(0.7071067811865476, 0.0)
-    b = table.intern(0.70710678118654766, 0.0)
+    a = table.intern(complex(0.7071067811865476, 0.0))
+    b = table.intern(complex(0.70710678118654766, 0.0))
     assert a is b is table.sqrt2_inv
 
 
 def test_distinct_values_stay_distinct(table):
-    assert table.intern(0.5, 0.0) is not table.intern(-1 / math.sqrt(2), 0.0)
+    half = table.intern(complex(0.5, 0.0))
+    assert half is not table.intern(complex(-1 / math.sqrt(2), 0.0))
 
 
 def test_non_finite_rejected(table):
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
-            table.intern(bad, 0.0)
+            table.intern(complex(bad, 0.0))
         with pytest.raises(ValueError):
-            table.intern(0.0, bad)
+            table.intern(complex(0.0, bad))
 
 
 def test_near_zero_snaps_to_canonical_zero(table):
-    assert table.intern(4e-11, -3e-11) is table.zero
+    assert table.intern(complex(4e-11, -3e-11)) is table.zero
 
 
 def test_cmul_half_by_neg_sqrt2(table):
-    half = table.intern(0.5, 0.0)
-    neg_sqrt2 = table.intern(-math.sqrt(2), 0.0)
+    half = table.intern(complex(0.5, 0.0))
+    neg_sqrt2 = table.intern(complex(-math.sqrt(2), 0.0))
     assert table.cmul(half, neg_sqrt2) is table.neg_sqrt2_inv
 
 
 def test_cmul_identities(table):
-    x = table.intern(0.25, -0.75)
+    x = table.intern(complex(0.25, -0.75))
     assert table.cmul(x, table.one) is x
     assert table.cmul(table.one, x) is x
     assert table.cmul(x, table.zero) is table.zero
@@ -62,37 +64,37 @@ def test_cmul_identities(table):
 def test_cadd_doubles_to_sqrt2(table):
     s = table.sqrt2_inv
     r = table.cadd(s, s)
-    assert r.re == pytest.approx(math.sqrt(2), abs=1e-15)
-    assert r.im == 0.0
+    assert r.real == pytest.approx(math.sqrt(2), abs=1e-15)
+    assert r.imag == 0.0
 
 
 def test_cdiv_by_near_zero_raises(table):
-    x = table.intern(1.0, 1.0)
+    x = table.intern(complex(1.0, 1.0))
     with pytest.raises(ZeroDivisionError):
         table.cdiv(x, table.zero)
-    tiny = table.intern(1e-11, 0.0)  # unifies with zero
+    tiny = table.intern(complex(1e-11, 0.0))  # unifies with zero
     assert tiny is table.zero
     with pytest.raises(ZeroDivisionError):
         table.cdiv(x, tiny)
 
 
 def test_cdiv_roundtrip(table):
-    a = table.intern(0.3, 0.4)
-    b = table.intern(-0.6, 0.2)
+    a = table.intern(complex(0.3, 0.4))
+    b = table.intern(complex(-0.6, 0.2))
     assert table.cdiv(table.cmul(a, b), b) is a
 
 
 def test_magnitude_squared_examples(table):
     assert magnitude_squared(table.neg_sqrt2_inv) == pytest.approx(0.5, abs=1e-15)
     assert magnitude_squared(table.zero) == 0.0
-    assert magnitude_squared(table.intern(0.6, 0.8)) == pytest.approx(1.0, abs=1e-15)
+    assert magnitude_squared(table.intern(complex(0.6, 0.8))) == pytest.approx(1.0, abs=1e-15)
 
 
 @given(re=finite, im=finite)
 def test_interning_idempotent(re, im):
     table = ComplexTable()
-    h = table.intern(re, im)
-    assert table.intern(h.re, h.im) is h
+    h = table.intern(complex(re, im))
+    assert table.intern(complex(h.real, h.imag)) is h
 
 
 @given(re=finite, im=finite, dre=st.floats(-5e-11, 5e-11),
@@ -100,42 +102,85 @@ def test_interning_idempotent(re, im):
 def test_handle_identity_implies_proximity(re, im, dre, dim):
     # handles are within tolerance of every input that produced them
     table = ComplexTable()
-    a = table.intern(re, im)
-    assert abs(a.re - re) < table.tol and abs(a.im - im) < table.tol
-    b = table.intern(re + dre, im + dim)
+    a = table.intern(complex(re, im))
+    assert abs(a.real - re) < DEFAULT_TOL and abs(a.imag - im) < DEFAULT_TOL
+    b = table.intern(complex(re + dre, im + dim))
     if a is b:
-        assert abs(a.re - (re + dre)) < table.tol
-        assert abs(a.im - (im + dim)) < table.tol
+        assert abs(a.real - (re + dre)) < DEFAULT_TOL
+        assert abs(a.imag - (im + dim)) < DEFAULT_TOL
 
 
 def test_lookup_within_tolerance_of_entry_unifies():
     table = ComplexTable()
-    first = table.intern(0.123456789, 0.5)
-    assert table.intern(0.123456789 + 9e-11, 0.5 - 9e-11) is first
+    first = table.intern(complex(0.123456789, 0.5))
+    assert table.intern(complex(0.123456789 + 9e-11, 0.5 - 9e-11)) is first
 
 
 def within_component_tol(got, want, tol):
     # interning is per component, so that is the deviation bound too
-    return abs(got.re - want.real) <= tol and abs(got.im - want.imag) <= tol
+    return abs(got.real - want.real) <= tol and abs(got.imag - want.imag) <= tol
 
 
 @given(a=st.tuples(finite, finite), b=st.tuples(finite, finite))
 def test_arithmetic_matches_python_complex(a, b):
     table = ComplexTable()
-    ah = table.intern(*a)
-    bh = table.intern(*b)
+    ah = table.intern(complex(*a))
+    bh = table.intern(complex(*b))
     ac, bc = complex(*a), complex(*b)
-    assert within_component_tol(table.cmul(ah, bh), ac * bc, table.tol)
-    assert within_component_tol(table.cadd(ah, bh), ac + bc, table.tol)
+    assert within_component_tol(table.cmul(ah, bh), ac * bc, DEFAULT_TOL)
+    assert within_component_tol(table.cadd(ah, bh), ac + bc, DEFAULT_TOL)
     if abs(bc) >= 1e-3:
-        assert within_component_tol(table.cdiv(ah, bh), ac / bc, table.tol)
+        assert within_component_tol(table.cdiv(ah, bh), ac / bc, DEFAULT_TOL)
 
 
 def test_fresh_products_are_exact():
     # away from pre-interned constants, the interned product is bitwise
     # the double-precision result
     table = ComplexTable()
-    a = table.intern(0.3125, -0.21)
-    b = table.intern(0.77, 0.19)
+    a = table.intern(complex(0.3125, -0.21))
+    b = table.intern(complex(0.77, 0.19))
     prod = table.cmul(a, b)
-    assert prod.as_complex() == complex(0.3125, -0.21) * complex(0.77, 0.19)
+    assert complex(prod) == complex(0.3125, -0.21) * complex(0.77, 0.19)
+
+
+wide = st.floats(min_value=-1e100, max_value=1e100)
+
+
+def bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+@given(a=st.tuples(wide, wide), b=st.tuples(wide, wide))
+def test_cmul_and_cadd_round_like_the_component_formulas(a, b):
+    # cmul and cadd intern Python's complex product and sum, which must
+    # round exactly like these formulas; a C complex product that fuses
+    # multiply and add (FMA) fails here instead of moving every result
+    table = ComplexTable()
+    x, y = table.intern(complex(*a)), table.intern(complex(*b))
+    prod = complex(x.real * y.real - x.imag * y.imag,
+                   x.real * y.imag + x.imag * y.real)
+    total = complex(x.real + y.real, x.imag + y.imag)
+    assert bits(x * y) == bits(prod) and bits(x + y) == bits(total)
+    assert table.cmul(x, y) is table.intern(prod)
+    assert table.cadd(x, y) is table.intern(total)
+
+
+def test_handles_are_complex_numbers(table):
+    x = table.intern(0.25 - 0.75j)
+    assert isinstance(x, complex) and not hasattr(x, "__dict__")
+    assert x == 0.25 - 0.75j and hash(x) == hash(0.25 - 0.75j)
+    assert type(x * 2j) is complex and x * 2j == 1.5 + 0.5j
+    assert 1 + x == 1.25 - 0.75j and complex(x) - x == 0
+    assert table.intern(x) is x
+    assert table.intern(0.25) is not x
+
+
+def test_idx_is_the_creation_rank(table):
+    assert [table.zero.idx, table.one.idx, table.sqrt2_inv.idx,
+            table.neg_sqrt2_inv.idx] == [0, 1, 2, 3]
+    for k in range(5):
+        rank = len(table)
+        assert table.intern(complex(k + 2, 0.5)).idx == rank
+        assert len(table) == rank + 1
+    assert table.intern(complex(2, 0.5 + 5e-11)).idx == 4  # a hit adds none
+    assert len(table) == 9

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdd import TERMINAL, Edge, Universe, count_nodes, export_dot
+from qdd.cvalue import DEFAULT_TOL
 
 from _util import (assert_canonical, assert_interned, cyclic_garbage,
                    dd_matrix_to_array, dd_to_array)
@@ -24,9 +25,9 @@ def uni():
 class TestMakeVectorNode:
     def test_factor_moves_to_edge(self, uni):
         ct = uni.ctab
-        e = uni.make_node(Edge(ct.intern(0.5, 0), TERMINAL),
+        e = uni.make_node(Edge(ct.intern(complex(0.5, 0)), TERMINAL),
                           Edge(ct.zero, TERMINAL))
-        assert e.w.re == 0.5
+        assert e.w.real == 0.5
         assert e.node.edges[0].w is ct.one
         assert e.node.edges[1].w is ct.zero
 
@@ -36,27 +37,27 @@ class TestMakeVectorNode:
 
     def test_ratio_normalization(self, uni):
         ct = uni.ctab
-        e = uni.make_node(Edge(ct.intern(0.5, 0), TERMINAL),
+        e = uni.make_node(Edge(ct.intern(complex(0.5, 0)), TERMINAL),
                           Edge(ct.neg_sqrt2_inv, TERMINAL))
-        assert e.w.re == 0.5
+        assert e.w.real == 0.5
         assert e.node.edges[0].w is ct.one
-        assert e.node.edges[1].w.re == pytest.approx(-math.sqrt(2), abs=1e-12)
+        assert e.node.edges[1].w.real == pytest.approx(-math.sqrt(2), abs=1e-12)
 
     def test_zero_left_normalizes_by_right(self, uni):
         ct = uni.ctab
         e = uni.make_node(uni.zero_edge,
-                          Edge(ct.intern(0, 0.25), TERMINAL))
-        assert e.w.im == 0.25
+                          Edge(ct.intern(complex(0, 0.25)), TERMINAL))
+        assert e.w.imag == 0.25
         assert e.node.edges[1].w is ct.one
 
     def test_deduplication(self, uni):
         ct = uni.ctab
         a = uni.make_node(Edge(ct.one, TERMINAL),
-                          Edge(ct.intern(0.5, 0), TERMINAL))
-        b = uni.make_node(Edge(ct.intern(2.0, 0), TERMINAL),
+                          Edge(ct.intern(complex(0.5, 0)), TERMINAL))
+        b = uni.make_node(Edge(ct.intern(complex(2.0, 0)), TERMINAL),
                           Edge(ct.one, TERMINAL))
         assert a.node is b.node
-        assert b.w.re == 2.0
+        assert b.w.real == 2.0
 
     def test_level_order_enforced(self, uni):
         # a node's height follows from its successors, so nonzero
@@ -78,10 +79,10 @@ class TestMakeMatrixNode:
     def test_hadamard_shape(self, uni):
         ct = uni.ctab
         one = Edge(ct.one, TERMINAL)
-        neg = Edge(ct.intern(-1, 0), TERMINAL)
+        neg = Edge(ct.intern(complex(-1, 0)), TERMINAL)
         e = uni.make_node(one, one, one, neg)
         assert e.w is ct.one
-        assert [x.w.re for x in e.node.edges] == [1, 1, 1, -1]
+        assert [x.w.real for x in e.node.edges] == [1, 1, 1, -1]
 
     def test_identity_shape(self, uni):
         ct = uni.ctab
@@ -110,14 +111,14 @@ class TestMakeNode:
         first = nonzero[0]
         assert e.w is edges[first].w
         assert e.node.edges[first].w is ct.one
-        w = complex(e.w.re, e.w.im)
+        w = complex(e.w)
         for i, (x, y) in enumerate(zip(edges, e.node.edges)):
             if x.w is ct.zero or i in snapped:
                 assert y == uni.zero_edge
             else:
                 assert y.node is x.node
-                back = w * complex(y.w.re, y.w.im)
-                assert abs(back - complex(x.w.re, x.w.im)) < 1e-10
+                back = w * complex(y.w)
+                assert abs(back - complex(x.w)) < 1e-10
         again = uni.make_node(*edges)
         assert again.node is e.node and again.w is e.w
 
@@ -137,29 +138,30 @@ class TestMakeNode:
         # may point at a node and must still come back as the zero edge
         for mask in itertools.product((False, True), repeat=arity):
             for _ in range(10):
-                edges = [Edge(ct.intern(*rng.normal(size=2)) if nz else ct.zero,
-                              kids[rng.integers(2)]) for nz in mask]
+                edges = [Edge(ct.intern(complex(*rng.normal(size=2)))
+                              if nz else ct.zero, kids[rng.integers(2)])
+                         for nz in mask]
                 self.check(uni, edges)
 
     @pytest.mark.parametrize("arity", [2, 4])
     def test_ratio_snapping_to_zero(self, uni, arity):
         ct = uni.ctab
         kid, other = self.kids(uni, arity)
-        big = Edge(ct.intern(1e3, 0), kid)
-        tiny = Edge(ct.intern(0, 1e-8), other)  # tiny / big interns to 0
+        big = Edge(ct.intern(complex(1e3, 0)), kid)
+        tiny = Edge(ct.intern(complex(0, 1e-8)), other)  # tiny / big interns to 0
         rng = np.random.default_rng(7)
         for i, j in itertools.combinations(range(arity), 2):
             edges = [uni.zero_edge] * arity
             edges[i], edges[j] = big, tiny
             for k in range(j + 1, arity):
-                edges[k] = Edge(ct.intern(*rng.normal(size=2)), kid)
+                edges[k] = Edge(ct.intern(complex(*rng.normal(size=2))), kid)
             self.check(uni, edges, snapped={j})
 
 
 class TestBuildVector:
     def test_worked_vector_structure(self, uni):
         v = uni.build_vector(WORKED_VECTOR)
-        assert v.w.re == pytest.approx(0.5, abs=1e-12)
+        assert v.w.real == pytest.approx(0.5, abs=1e-12)
         assert count_nodes(v) == 4
 
     def test_basis_vector(self, uni):
@@ -282,7 +284,7 @@ class TestInvariants:
         uni = Universe()
         v = uni.build_vector(a)
         back = uni.read_dense(v, n)
-        assert all(abs(x - y) <= n * uni.ctab.tol + 1e-12
+        assert all(abs(x - y) <= n * DEFAULT_TOL + 1e-12
                    for x, y in zip(back, a))
         if any(x != 0 for x in a):
             assert_canonical(uni, v)

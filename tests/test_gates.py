@@ -92,7 +92,7 @@ class TestBuildGateDD:
 
     def test_h_padded_diagram_shape(self, uni):
         e = build_gate_dd(uni, 2, GateSpec(GateKind.H, 0))
-        assert e.w.re == pytest.approx(S, abs=1e-15)
+        assert e.w.real == pytest.approx(S, abs=1e-15)
         assert count_nodes(e) == 2
         got = dd_matrix_to_array(uni, e, 2)
         want = S * np.array([[1, 0, 1, 0], [0, 1, 0, 1],

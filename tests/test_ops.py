@@ -227,8 +227,8 @@ class TestMeasureTop:
         v = uni.build_vector(WORKED_VECTOR)
         outcome, post = measure_top(uni, v, Forced(0.99))
         assert outcome == 1
-        assert post.w.re == pytest.approx(1 / math.sqrt(3), abs=1e-12)
-        assert post.w.im == 0.0
+        assert post.w.real == pytest.approx(1 / math.sqrt(3), abs=1e-12)
+        assert post.w.imag == 0.0
         # discarded branch reads zero everywhere
         for idx in range(4):
             assert uni.read_amplitude(post, 3, idx) == 0
@@ -296,7 +296,7 @@ def _by_value(edge):
     node = edge.node
     below = None if node is TERMINAL else (
         node.height, tuple(_by_value(e) for e in node.edges))
-    return edge.w.re, edge.w.im, below
+    return edge.w.real, edge.w.imag, below
 
 
 class TestCollapseMemo:
