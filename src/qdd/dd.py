@@ -14,8 +14,13 @@ i.e. row index = output basis state, column index = input basis state, and
 e01 is the upper-right quadrant. An entry is the product of the edge
 weights along its root-to-terminal path.
 
-Both kinds share one Edge type (weight, node) and one Node type, and
-Universe.make_node reduces and normalizes both:
+Both kinds share one Node type. Inside the package an edge is a plain
+(weight, node) pair, read by unpacking: node successors, recursion
+results and cache values are pairs, and the pair a node stores is its
+unique-table key. Edge is the public, named view of a pair; every
+exported function returns one, and Node.edges views a node's pairs.
+Edges compare and hash as their pairs do. Universe.make_node reduces and
+normalizes both kinds:
 
 * structurally identical nodes are shared through one unique table (a
   node with two equal successors is therefore stored once and shared,
@@ -52,16 +57,22 @@ TERMINAL = Terminal()
 
 
 class Node:
-    """A nonterminal: its height and successor edges, two for a vector node
-    (e0, e1) and four for a matrix node (e00, e01, e10, e11)."""
+    """A nonterminal: its height and successors, two for a vector node
+    (e0, e1) and four for a matrix node (e00, e01, e10, e11). ``succ``
+    holds them as (weight, node) pairs, the node's unique-table key;
+    ``edges`` returns them as Edge views."""
 
-    __slots__ = ("height", "edges", "idx", "size")
+    __slots__ = ("height", "succ", "idx", "size")
 
-    def __init__(self, height: int, edges: tuple["Edge", ...], idx: int):
+    def __init__(self, height: int, succ: tuple[tuple, ...], idx: int):
         self.height = height
-        self.edges = edges
+        self.succ = succ
         self.idx = idx
         self.size = 0  # count_nodes memo; 0 until first counted
+
+    @property
+    def edges(self) -> tuple["Edge", ...]:
+        return tuple(Edge(*e) for e in self.succ)
 
     def __repr__(self) -> str:
         return f"<Node h{self.height} #{self.idx}>"
@@ -69,7 +80,8 @@ class Node:
 
 class Edge(NamedTuple):
     """A weighted pointer to a node or the terminal; vector and matrix
-    diagrams share this type and differ only in their nodes' arity."""
+    diagrams share this type and differ only in their nodes' arity. The
+    public view of the package's (weight, node) pairs, equal to them."""
 
     w: ComplexValue
     node: Union[Node, Terminal]
@@ -100,7 +112,7 @@ class ComputeCache:
         self.collapse: dict = {}
         self.split: dict = {}
         self.gates: dict = {}
-        self.chain: list[Edge] = []
+        self.chain: list[tuple] = []
 
 
 class Universe:
@@ -111,15 +123,16 @@ class Universe:
     edge. Nodes are keyed by their edge tuple alone (a pair for a vector
     node, a 4-tuple for a matrix node), so both kinds share the table
     without colliding; its size is the live node count. All diagram
-    construction goes through make_node (or its shortcut
-    make_diagonal_node), which normalizes and deduplicates.
+    construction goes through _make_node (or its shortcut
+    _make_diagonal_node), the pair core of make_node, which normalizes
+    and deduplicates.
     """
 
     def __init__(self):
         self.ctab = ComplexTable()
         self.cache = ComputeCache()
-        # the canonical zero edge of every diagram; edges are immutable and
-        # compare by value, so one instance serves them all
+        # the canonical zero edge of every diagram, pair and Edge at once;
+        # edges are immutable and compare by value, so one serves them all
         self.zero_edge = Edge(self.ctab.zero, TERMINAL)
         self._table: dict[tuple, Node] = {}
         self._node_seq = 0
@@ -151,44 +164,54 @@ class Universe:
         through it. Zero weights, and ratios that intern to zero, become
         the zero edge; all-zero operands return it.
         """
+        return Edge(*self._make_node(edges))
+
+    def _make_node(self, edges) -> tuple:
+        """make_node over a sequence of pairs, returning a pair."""
         ct = self.ctab
         zero = ct.zero
         zero_edge = self.zero_edge
         d = None
         out = []
-        for e in edges:
-            if e.w is zero:
+        for w, node in edges:
+            if w is zero:
                 out.append(zero_edge)
             elif d is None:
-                d = e.w
-                height = e.node.height
-                out.append(Edge(ct.one, e.node))
-            elif e.node.height != height:
+                d = w
+                height = node.height
+                out.append((ct.one, node))
+            elif node.height != height:
                 raise ValueError(f"successors at heights {height} "
-                                 f"and {e.node.height}")
+                                 f"and {node.height}")
             else:
-                r = ct.cdiv(e.w, d)
-                out.append(zero_edge if r is zero else Edge(r, e.node))
+                r = ct.cdiv(w, d)
+                out.append(zero_edge if r is zero else (r, node))
         if d is None:
             return zero_edge
-        return Edge(d, self._unique(height + 1, tuple(out)))
+        return d, self._unique(height + 1, tuple(out))
 
-    def identity_chain(self, n: int) -> list[Edge]:
+    def identity_chain(self, n: int) -> list[tuple]:
         """``chain[h]`` is the identity over h qubits, for every h <= n, and
-        ``chain[0]`` the terminal edge; gc_collect keeps its live prefix."""
+        ``chain[0]`` the terminal edge, as (weight, node) pairs (identity_dd
+        returns one as an Edge); gc_collect keeps its live prefix."""
         chain = self.cache.chain
         if not chain:
-            chain.append(Edge(self.ctab.one, TERMINAL))
+            chain.append((self.ctab.one, TERMINAL))
         while len(chain) <= n:
-            chain.append(self.make_diagonal_node(chain[-1]))
+            chain.append(self._make_diagonal_node(chain[-1]))
         return chain
 
     def make_diagonal_node(self, e: Edge) -> Edge:
         """make_node(e, zero, zero, e) for a nonzero ``e``, where
         cdiv(e.w, e.w) is exactly the interned 1."""
-        link = Edge(self.ctab.one, e.node)
+        return Edge(*self._make_diagonal_node(e))
+
+    def _make_diagonal_node(self, e: tuple) -> tuple:
+        """make_diagonal_node over a pair, returning a pair."""
+        w, node = e
+        link = (self.ctab.one, node)
         z = self.zero_edge
-        return Edge(e.w, self._unique(e.node.height + 1, (link, z, z, link)))
+        return w, self._unique(node.height + 1, (link, z, z, link))
 
     # -- vector construction and readout ---------------------------------
 
@@ -196,14 +219,11 @@ class Universe:
         """The computational basis state |bits>, one node per qubit."""
         if len(bits) != n or any(b not in "01" for b in bits):
             raise ValueError(f"need a length-{n} bitstring, got {bits!r}")
-        edge = Edge(self.ctab.one, TERMINAL)
+        edge = (self.ctab.one, TERMINAL)
         zero = self.zero_edge
         for b in reversed(bits):
-            if b == "0":
-                edge = self.make_node(edge, zero)
-            else:
-                edge = self.make_node(zero, edge)
-        return edge
+            edge = self._make_node((edge, zero) if b == "0" else (zero, edge))
+        return Edge(*edge)
 
     def build_vector(self, amplitudes: Sequence[complex]) -> Edge:
         """Decompose a dense amplitude vector (length 2^n) into a diagram.
@@ -214,7 +234,7 @@ class Universe:
         size = len(amplitudes)
         if size == 0 or size & (size - 1):
             raise ValueError(f"length {size} is not a power of two")
-        return _build_vector(self, amplitudes, 0, size)
+        return Edge(*_build_vector(self, amplitudes, 0, size))
 
     def _check_width(self, e: Edge, n: int) -> None:
         if e.w is not self.ctab.zero and e.node.height != n - 1:
@@ -228,9 +248,8 @@ class Universe:
         w = complex(v.w)
         node = v.node
         while node is not TERMINAL and w != 0:
-            e = node.edges[(index >> node.height) & 1]
-            w *= e.w
-            node = e.node
+            ew, node = node.succ[(index >> node.height) & 1]
+            w *= ew
         return w
 
     def read_dense(self, v: Edge, n: int) -> list[complex]:
@@ -251,7 +270,7 @@ class Universe:
             raise ValueError(f"dimension {size} is not a power of two")
         if any(len(row) != size for row in entries):
             raise ValueError("matrix is not square")
-        return _build_matrix(self, entries, 0, 0, size)
+        return Edge(*_build_matrix(self, entries, 0, 0, size))
 
     def read_matrix_entry(self, m: Edge, n: int, row: int, col: int) -> complex:
         """Entry (row, col): row indexes the output basis state."""
@@ -263,9 +282,8 @@ class Universe:
         node = m.node
         while node is not TERMINAL and w != 0:
             h = node.height
-            e = node.edges[((row >> h) & 1) * 2 + ((col >> h) & 1)]
-            w *= e.w
-            node = e.node
+            ew, node = node.succ[((row >> h) & 1) * 2 + ((col >> h) & 1)]
+            w *= ew
         return w
 
     # -- garbage collection ----------------------------------------------
@@ -283,7 +301,7 @@ class Universe:
         chain = self.cache.chain
         self.cache.clear()
         self.cache.chain = [e for e in chain
-                            if e.node is TERMINAL or e.node in live]
+                            if e[1] is TERMINAL or e[1] in live]
         return before - len(self._table)
 
 
@@ -292,40 +310,40 @@ class Universe:
 # until the cycle collector runs, which qdd.engine pauses.
 
 def _build_vector(uni: Universe, amplitudes: Sequence[complex], offset: int,
-                  span: int) -> Edge:
+                  span: int) -> tuple:
     if span == 1:
-        return Edge(uni.ctab.intern(complex(amplitudes[offset])), TERMINAL)
+        return uni.ctab.intern(complex(amplitudes[offset])), TERMINAL
     half = span // 2
     e0 = _build_vector(uni, amplitudes, offset, half)
     e1 = _build_vector(uni, amplitudes, offset + half, half)
-    return uni.make_node(e0, e1)
+    return uni._make_node((e0, e1))
 
 
 def _build_matrix(uni: Universe, entries: Sequence[Sequence[complex]],
-                  row: int, col: int, span: int) -> Edge:
+                  row: int, col: int, span: int) -> tuple:
     if span == 1:
-        return Edge(uni.ctab.intern(complex(entries[row][col])), TERMINAL)
+        return uni.ctab.intern(complex(entries[row][col])), TERMINAL
     half = span // 2
-    return uni.make_node(
+    return uni._make_node((
         _build_matrix(uni, entries, row, col, half),
         _build_matrix(uni, entries, row, col + half, half),
         _build_matrix(uni, entries, row + half, col, half),
         _build_matrix(uni, entries, row + half, col + half, half),
-    )
+    ))
 
 
-def _fill_dense(out: list[complex], edge: Edge, offset: int,
+def _fill_dense(out: list[complex], edge: tuple, offset: int,
                 scale: complex) -> None:
-    w = scale * edge.w
+    ew, node = edge
+    w = scale * ew
     if w == 0:
         return
-    node = edge.node
     if node is TERMINAL:
         out[offset] = w
         return
     half = 1 << node.height
-    _fill_dense(out, node.edges[0], offset, w)
-    _fill_dense(out, node.edges[1], offset + half, w)
+    _fill_dense(out, node.succ[0], offset, w)
+    _fill_dense(out, node.succ[1], offset + half, w)
 
 
 def _reachable(roots: Iterable[Edge]) -> dict[Node, None]:
@@ -334,15 +352,15 @@ def _reachable(roots: Iterable[Edge]) -> dict[Node, None]:
     last pushed is visited first. export_dot numbers nodes in this order.
     """
     seen: dict[Node, None] = {}
-    stack = [r.node for r in roots]
+    stack = [node for _, node in roots]
     while stack:
         node = stack.pop()
         if node is TERMINAL or node in seen:
             continue
         seen[node] = None
-        for e in node.edges:
-            if e.node is not TERMINAL:
-                stack.append(e.node)
+        for _, nxt in node.succ:
+            if nxt is not TERMINAL:
+                stack.append(nxt)
     return seen
 
 

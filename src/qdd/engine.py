@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .circuit import Circuit, GateOp, MeasureAllOp, MeasureOp
 from .dd import Edge, Universe, count_nodes
-from .gates import GateSpec, build_gate_dd
+from .gates import GateSpec, _gate_dd, build_gate_dd
 from .ops import (NormDriftError, PROB_TOL, measure_all, measure_qubit,
                   multiply, norm_squared)
 
@@ -76,7 +76,7 @@ class _Simulation:
 
     def _apply(self, op, index: int) -> None:
         if isinstance(op, GateOp):
-            gate = build_gate_dd(self.uni, self.circuit.n_qubits, op.spec)
+            gate = _gate_dd(self.uni, self.circuit.n_qubits, op.spec)
             self.state = multiply(self.uni, gate, self.state)
             self.stats.gates_applied += 1
             dev = abs(norm_squared(self.uni, self.state) - 1.0)

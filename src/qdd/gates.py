@@ -98,11 +98,16 @@ def identity_dd(uni: Universe, n: int) -> Edge:
     """Identity over n qubits: a chain of n nodes, shared per universe."""
     if n < 0:
         raise ValueError("qubit count must be nonnegative")
-    return uni.identity_chain(n)[n]
+    return Edge(*uni.identity_chain(n)[n])
 
 
 def build_gate_dd(uni: Universe, n: int, spec: GateSpec) -> Edge:
     """n-qubit diagram of a controlled single-qubit gate; memoized until GC."""
+    return Edge(*_gate_dd(uni, n, spec))
+
+
+def _gate_dd(uni: Universe, n: int, spec: GateSpec) -> tuple:
+    """build_gate_dd as a (weight, node) pair."""
     memo = uni.cache.gates.get((n, spec))
     if memo is not None:
         return memo
@@ -123,23 +128,23 @@ def build_gate_dd(uni: Universe, n: int, spec: GateSpec) -> Edge:
     for row in base2x2(spec.kind, spec.param):
         for a in row:
             w = ct.intern(a)
-            tracks.append(zero if w is ct.zero else Edge(w, chain[low].node))
+            tracks.append(zero if w is ct.zero else (w, chain[low][1]))
     for h in range(low, target):
         for k, t in enumerate(tracks):
             if h not in controls:
-                if t.w is not ct.zero:
-                    tracks[k] = uni.make_diagonal_node(t)
+                if t[0] is not ct.zero:
+                    tracks[k] = uni._make_diagonal_node(t)
             # input/output 0 on a control: the gate never fires, so the
             # diagonal tracks take the identity in e00, the others zero
             elif k in (0, 3):
-                tracks[k] = uni.make_node(chain[h], zero, zero, t)
-            elif t.w is not ct.zero:
-                tracks[k] = uni.make_node(zero, zero, zero, t)
-    e = uni.make_node(*tracks)
+                tracks[k] = uni._make_node((chain[h], zero, zero, t))
+            elif t[0] is not ct.zero:
+                tracks[k] = uni._make_node((zero, zero, zero, t))
+    e = uni._make_node(tracks)
     for h in range(target + 1, n):
         if h in controls:
-            e = uni.make_node(chain[h], zero, zero, e)
+            e = uni._make_node((chain[h], zero, zero, e))
         else:
-            e = uni.make_diagonal_node(e)
+            e = uni._make_diagonal_node(e)
     uni.cache.gates[n, spec] = e
     return e

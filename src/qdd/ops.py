@@ -37,10 +37,10 @@ class NormDriftError(RuntimeError):
         self.op_index = op_index
 
 
-def _edge(uni: Universe, w: ComplexValue, node) -> Edge:
+def _edge(uni: Universe, w: ComplexValue, node) -> tuple:
     # Keep the zero edge canonical even when a product underflows the
     # interning tolerance.
-    return uni.zero_edge if w is uni.ctab.zero else Edge(w, node)
+    return uni.zero_edge if w is uni.ctab.zero else (w, node)
 
 
 # -- Kronecker product ---------------------------------------------------
@@ -67,52 +67,54 @@ def _kron_rebuild(uni: Universe, memo: dict, node, below):
     if got is not None:
         return got
     zero = uni.ctab.zero
-    edges = [e if e.w is zero else
-             Edge(e.w, _kron_rebuild(uni, memo, e.node, below))
-             for e in node.edges]
-    res = uni.make_node(*edges)
+    edges = [(w, nxt if w is zero else _kron_rebuild(uni, memo, nxt, below))
+             for w, nxt in node.succ]
     # weights were normalized already, so no factor comes back up
-    memo[node] = res.node
-    return res.node
+    res = memo[node] = uni._make_node(edges)[1]
+    return res
 
 
 # -- addition --------------------------------------------------------------
 
 def add(uni: Universe, p: Edge, q: Edge) -> Edge:
-    """Component-wise sum of two vectors over the same qubit set."""
+    """Component-wise sum of two vectors, or two matrices, over the same
+    qubit set."""
+    return Edge(*_add(uni, p, q))
+
+
+def _add(uni: Universe, p: tuple, q: tuple) -> tuple:
+    """add over (weight, node) pairs, returning a pair."""
     ct = uni.ctab
     cache = uni.cache
     cache.ops_count += 1
-    if p.w is ct.zero:
+    pw, pn = p
+    qw, qn = q
+    if pw is ct.zero:
         return q
-    if q.w is ct.zero:
+    if qw is ct.zero:
         return p
-    pn, qn = p.node, q.node
     if pn is TERMINAL or qn is TERMINAL:
         if pn is not qn:
             raise ValueError("operands span different qubit sets")
-        return Edge(ct.cadd(p.w, q.w), TERMINAL)
+        return ct.cadd(pw, qw), TERMINAL
     if pn.height != qn.height:
         raise ValueError(
             f"operands span different qubit sets: {pn.height} vs {qn.height}")
     # Deterministic operand order makes the cache line commutative.
-    if (qn.idx, q.w.idx) < (pn.idx, p.w.idx):
-        p, q = q, p
+    if (qn.idx, qw.idx) < (pn.idx, pw.idx):
+        pw, qw = qw, pw
         pn, qn = qn, pn
-    ratio = ct.cdiv(q.w, p.w)
+    ratio = ct.cdiv(qw, pw)
     key = (pn, ratio, qn)
     hit = cache.add.get(key)
     if hit is None:
         parts = []
-        for i in (0, 1):
-            pe = pn.edges[i]
-            qe = qn.edges[i]
-            if qe.w is not ct.zero:
-                qe = _edge(uni, ct.cmul(ratio, qe.w), qe.node)
-            parts.append(add(uni, pe, qe))
-        hit = uni.make_node(*parts)
-        cache.add[key] = hit
-    return _edge(uni, ct.cmul(p.w, hit.w), hit.node)
+        for pe, qe in zip(pn.succ, qn.succ):
+            if qe[0] is not ct.zero:
+                qe = _edge(uni, ct.cmul(ratio, qe[0]), qe[1])
+            parts.append(_add(uni, pe, qe))
+        hit = cache.add[key] = uni._make_node(parts)
+    return _edge(uni, ct.cmul(pw, hit[0]), hit[1])
 
 
 # -- matrix-vector multiplication -------------------------------------------
@@ -120,46 +122,46 @@ def add(uni: Universe, p: Edge, q: Edge) -> Edge:
 def multiply(uni: Universe, u: Edge, v: Edge) -> Edge:
     """Apply the operator u to the state v (same qubit count)."""
     ct = uni.ctab
-    if u.w is ct.zero or v.w is ct.zero:
+    (uw, un), (vw, vn) = u, v
+    if uw is ct.zero or vw is ct.zero:
         return uni.zero_edge
-    r = _mul_nodes(uni, u.node, v.node)
-    return _edge(uni, ct.cmul(ct.cmul(u.w, v.w), r.w), r.node)
+    rw, rn = _mul_nodes(uni, un, vn)
+    return Edge(*_edge(uni, ct.cmul(ct.cmul(uw, vw), rw), rn))
 
 
-def _mul_nodes(uni: Universe, un, vn) -> Edge:
+def _mul_nodes(uni: Universe, un, vn) -> tuple:
     ct = uni.ctab
     cache = uni.cache
     cache.ops_count += 1
     if un is TERMINAL or vn is TERMINAL:
         if un is not vn:
             raise ValueError("operands span different qubit counts")
-        return Edge(ct.one, TERMINAL)
+        return ct.one, TERMINAL
     if un.height != vn.height:
         raise ValueError(
             f"operands span different qubit counts: {un.height} vs {vn.height}")
     h = un.height + 1
-    if h < len(cache.chain) and cache.chain[h].node is un:
+    if h < len(cache.chain) and cache.chain[h][1] is un:
         # what the recursion returns: cmul and cdiv by the interned 1
         # hand their other operand back unchanged
-        return Edge(ct.one, vn)
+        return ct.one, vn
     key = (un, vn)
     hit = cache.mult.get(key)
     if hit is not None:
         return hit
+    zero = ct.zero
+    u00, u01, u10, u11 = un.succ
     parts = []
-    for i in (0, 1):
+    for row in ((u00, u01), (u10, u11)):
         acc = uni.zero_edge
-        for j in (0, 1):
-            ue = un.edges[2 * i + j]
-            ve = vn.edges[j]
-            if ue.w is ct.zero or ve.w is ct.zero:
+        for (uw, unx), (vw, vnx) in zip(row, vn.succ):
+            if uw is zero or vw is zero:
                 continue
-            sub = _mul_nodes(uni, ue.node, ve.node)
-            term = _edge(uni, ct.cmul(ct.cmul(ue.w, ve.w), sub.w), sub.node)
-            acc = term if acc.w is ct.zero else add(uni, acc, term)
+            sw, sn = _mul_nodes(uni, unx, vnx)
+            term = _edge(uni, ct.cmul(ct.cmul(uw, vw), sw), sn)
+            acc = term if acc[0] is zero else _add(uni, acc, term)
         parts.append(acc)
-    res = uni.make_node(*parts)
-    cache.mult[key] = res
+    res = cache.mult[key] = uni._make_node(parts)
     return res
 
 
@@ -176,11 +178,11 @@ def node_probability(uni: Universe, node) -> float:
     hit = cache.get(node)
     if hit is not None:
         return hit
-    ct = uni.ctab
+    zero = uni.ctab.zero
     p = 0.0
-    for e in node.edges:
-        if e.w is not ct.zero:
-            p += magnitude_squared(e.w) * node_probability(uni, e.node)
+    for w, nxt in node.succ:
+        if w is not zero:
+            p += magnitude_squared(w) * node_probability(uni, nxt)
     cache[node] = p
     return p
 
@@ -223,36 +225,33 @@ def _collapse(uni: Universe, v: Edge, q: int, outcome: int, prob: float) -> Edge
     """
     height = v.node.height - q
     memo = uni.cache.collapse.setdefault((height, outcome), {})
-    collapsed = _collapse_node(uni, memo, v.node, height, outcome)
+    cw, cn = _collapse_node(uni, memo, v.node, height, outcome)
     ct = uni.ctab
     scale = ct.intern(1.0 / math.sqrt(prob))
-    w = ct.cmul(ct.cmul(v.w, collapsed.w), scale)
-    return _edge(uni, w, collapsed.node)
+    w = ct.cmul(ct.cmul(v.w, cw), scale)
+    return Edge(*_edge(uni, w, cn))
 
 
 def _collapse_node(uni: Universe, memo: dict, node, height: int,
-                   outcome: int) -> Edge:
+                   outcome: int) -> tuple:
     """_collapse's rebuild of one node."""
     got = memo.get(node)
     if got is not None:
         return got
     stub = uni.zero_edge
     if node.height == height:
-        kept = node.edges[outcome]
-        if outcome == 0:
-            res = uni.make_node(kept, stub)
-        else:
-            res = uni.make_node(stub, kept)
+        kept = node.succ[outcome]
+        res = uni._make_node((kept, stub) if outcome == 0 else (stub, kept))
     else:
         ct = uni.ctab
         parts = []
-        for e in node.edges:
-            if e.w is ct.zero:
+        for w, nxt in node.succ:
+            if w is ct.zero:
                 parts.append(stub)
             else:
-                sub = _collapse_node(uni, memo, e.node, height, outcome)
-                parts.append(_edge(uni, ct.cmul(e.w, sub.w), sub.node))
-        res = uni.make_node(*parts)
+                sw, sn = _collapse_node(uni, memo, nxt, height, outcome)
+                parts.append(_edge(uni, ct.cmul(w, sw), sn))
+        res = uni._make_node(parts)
     memo[node] = res
     return res
 
@@ -276,18 +275,18 @@ def _split(uni: Universe, v: Edge, q: int) -> tuple[float, float]:
     for _ in range(q):
         nxt: dict = {}
         for node, m in mass.items():
-            for e in node.edges:
-                if e.w is not ct.zero:
-                    nxt[e.node] = (nxt.get(e.node, 0.0)
-                                   + m * magnitude_squared(e.w))
+            for w, child in node.succ:
+                if w is not ct.zero:
+                    nxt[child] = (nxt.get(child, 0.0)
+                                  + m * magnitude_squared(w))
         mass = nxt
     p0 = p1 = 0.0
     for node, m in mass.items():
-        e0, e1 = node.edges
-        if e0.w is not ct.zero:
-            p0 += m * magnitude_squared(e0.w) * node_probability(uni, e0.node)
-        if e1.w is not ct.zero:
-            p1 += m * magnitude_squared(e1.w) * node_probability(uni, e1.node)
+        (w0, n0), (w1, n1) = node.succ
+        if w0 is not ct.zero:
+            p0 += m * magnitude_squared(w0) * node_probability(uni, n0)
+        if w1 is not ct.zero:
+            p1 += m * magnitude_squared(w1) * node_probability(uni, n1)
     uni.cache.split[key] = (p0, p1)
     return p0, p1
 
@@ -333,16 +332,16 @@ def measure_all(uni: Universe, v: Edge, rng) -> str:
     bits: list[str] = []
     node = v.node
     while node is not TERMINAL:
-        e0, e1 = node.edges
+        (w0, n0), (w1, n1) = node.succ
         p0 = p1 = 0.0
-        if e0.w is not ct.zero:
-            p0 = magnitude_squared(e0.w) * node_probability(uni, e0.node)
-        if e1.w is not ct.zero:
-            p1 = magnitude_squared(e1.w) * node_probability(uni, e1.node)
+        if w0 is not ct.zero:
+            p0 = magnitude_squared(w0) * node_probability(uni, n0)
+        if w1 is not ct.zero:
+            p1 = magnitude_squared(w1) * node_probability(uni, n1)
         if rng.random() < p0 / (p0 + p1):
             bits.append("0")
-            node = e0.node
+            node = n0
         else:
             bits.append("1")
-            node = e1.node
+            node = n1
     return "".join(bits)

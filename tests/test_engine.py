@@ -1,17 +1,21 @@
 import dataclasses
 import gc
 import math
+import random
 
 import numpy as np
 import pytest
 
+import qdd.dd as dd
 import qdd.dense as dense
-from qdd import (Circuit, EngineConfig, GateKind, GateOp, GateSpec,
-                 MeasureAllOp, NormDriftError, Universe, build_gate_dd,
-                 count_nodes, gate_dd_for, gen_entangle, gen_qft, parse, run,
-                 sample)
+from qdd import (TERMINAL, Circuit, Edge, EngineConfig, GateKind, GateOp,
+                 GateSpec, MeasureAllOp, NormDriftError, Universe, add,
+                 build_gate_dd, count_nodes, gate_dd_for, gen_entangle,
+                 gen_qft, identity_dd, kron, measure_qubit, measure_top,
+                 multiply, parse, run, sample)
 
-from _util import cyclic_garbage, dft_matrix, random_circuit
+from _util import (cyclic_garbage, dft_matrix, random_circuit,
+                   random_gate_spec)
 
 S = 1 / math.sqrt(2)
 
@@ -173,9 +177,10 @@ class TestGateDDCache:
 
         def no_build(*args):
             raise AssertionError("warm gate build constructed a node")
-        monkeypatch.setattr(uni, "make_node", no_build)
-        monkeypatch.setattr(uni, "make_diagonal_node", no_build)
-        assert build_gate_dd(uni, 5, spec) is cold
+        monkeypatch.setattr(uni, "_make_node", no_build)
+        monkeypatch.setattr(uni, "_make_diagonal_node", no_build)
+        warm = build_gate_dd(uni, 5, spec)
+        assert warm.w is cold.w and warm.node is cold.node
         monkeypatch.undo()
         uni.gc_collect([])
         assert uni.cache.gates == {} and uni.live_nodes == 0
@@ -285,3 +290,117 @@ class TestCollectorPause:
     def test_sample_leaves_no_cyclic_garbage(self, threshold):
         cfg = EngineConfig(seed=3, shots=20, gc_threshold=threshold)
         assert cyclic_garbage(sample, parse(self.MID), cfg) == 0
+
+
+def clifford_t_text(seed: int, n_gates: int, measure_every: int = 0) -> str:
+    """A seeded 10-qubit H/T/CX circuit; with ``measure_every``, a measure
+    of a drawn qubit after every that many gates, and measure_all last."""
+    rng = random.Random(seed)
+    lines = ["qubits 10"]
+    for i in range(1, n_gates + 1):
+        r = rng.random()
+        if r < 0.3:
+            lines.append(f"h {rng.randrange(10)}")
+        elif r < 0.5:
+            lines.append(f"t {rng.randrange(10)}")
+        else:
+            lines.append("cx {} {}".format(*rng.sample(range(10), 2)))
+        if measure_every and i % measure_every == 0:
+            lines.append(f"measure {rng.randrange(10)}")
+    if measure_every:
+        lines.append("measure_all")
+    return "\n".join(lines) + "\n"
+
+
+class TestEdgeBudget:
+    """Edges are (weight, node) pairs inside the package: a run builds an
+    Edge only for what the public calls return, one per gate applied and
+    one per qubit measured."""
+
+    @pytest.mark.parametrize("measure_every", [0, 15])
+    def test_one_edge_per_gate_and_measured_qubit(self, monkeypatch,
+                                                  measure_every):
+        circuit = parse(clifford_t_text(7, 200, measure_every))
+        built = 0
+        new = Edge.__new__
+
+        def counting(cls, *args):
+            nonlocal built
+            built += 1
+            return new(cls, *args)
+        monkeypatch.setattr(Edge, "__new__", counting)
+        seen = []
+        run(circuit, EngineConfig(seed=5),
+            on_op=lambda uni, state, i: seen.append(uni))
+        monkeypatch.undo()
+        gates = sum(isinstance(op, GateOp) for op in circuit.ops)
+        measured = sum(10 if isinstance(op, MeasureAllOp) else 1
+                       for op in circuit.ops if not isinstance(op, GateOp))
+        assert built <= gates + measured + 4
+        assert seen[-1].cache.ops_count >= 10 * built
+
+
+def _replay_walk(edges) -> int:
+    """Distinct nodes below ``edges``, walked through the public view the
+    way perfbench's replay walks the gate cache."""
+    seen: set = set()
+    stack = [e.node for e in edges]
+    while stack:
+        node = stack.pop()
+        if node is TERMINAL or node in seen:
+            continue
+        seen.add(node)
+        stack.extend(e.node for e in node.edges)
+    return len(seen)
+
+
+class TestPublicEdgeView:
+    def test_exported_functions_return_edges(self):
+        uni = Universe()
+        ct = uni.ctab
+        leaf = Edge(ct.one, TERMINAL)
+        v = uni.build_vector([S, 0, 0, S])
+        gate = build_gate_dd(uni, 2, GateSpec(GateKind.H, 0))
+        results = [
+            uni.make_node(leaf, uni.zero_edge),
+            uni.make_node(uni.zero_edge, uni.zero_edge),
+            uni.make_diagonal_node(leaf),
+            uni.basis_state(2, "01"), v,
+            uni.build_matrix([[0, 1], [1, 0]]),
+            kron(uni, leaf, v), add(uni, v, v),
+            add(uni, v, Edge(ct.intern(-S), v.node)),
+            multiply(uni, gate, v), multiply(uni, uni.zero_edge, v),
+            measure_top(uni, v, random.Random(1))[1],
+            measure_qubit(uni, v, 1, random.Random(2))[1],
+            gate, identity_dd(uni, 2),
+            gate_dd_for(uni, 2, GateSpec(GateKind.T, 1), {}),
+            run(parse(BELL_MEASURE))[0],
+        ]
+        assert [type(e) for e in results] == [Edge] * len(results)
+
+    def test_node_edges_view_the_table_key(self):
+        unis = []
+        run(gen_qft(5, "10110"), on_op=lambda uni, state, i: unis.append(uni))
+        uni = unis[0]
+        for spec in (GateSpec(GateKind.H, 2, frozenset({0, 4})),
+                     GateSpec(GateKind.RK, 1, frozenset({3}), 3)):
+            build_gate_dd(uni, 5, spec)
+        uni.build_vector([0.5, 0, 0.5j, 0, 0, -0.5, 0, 0.5])
+        assert uni.live_nodes > 0
+        for key, node in uni._table.items():
+            view = node.edges
+            assert all(type(e) is Edge for e in view)
+            assert view == key and hash(view) == hash(key)
+            assert uni._table[view] is node
+
+    def test_replay_walk_counts_what_count_nodes_counts(self):
+        uni = Universe()
+        cache = {}
+        rng = np.random.default_rng(29)
+        for _ in range(30):
+            spec = random_gate_spec(rng, 6)
+            gate = gate_dd_for(uni, 6, spec, cache)
+            assert _replay_walk([gate]) == count_nodes(gate)
+        # the walk count_nodes makes, over the whole gate cache
+        assert _replay_walk(cache.values()) == len(dd._reachable(
+            cache.values()))

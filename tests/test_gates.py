@@ -184,8 +184,8 @@ class TestBuildGateDD:
                 return make(*args)
             return call
 
-        uni.make_node = counting(uni.make_node)
-        uni.make_diagonal_node = counting(uni.make_diagonal_node)
+        uni._make_node = counting(uni._make_node)
+        uni._make_diagonal_node = counting(uni._make_diagonal_node)
         build_gate_dd(uni, n, GateSpec(GateKind.H, target, frozenset(controls)))
         low = max((c for c in controls if c > target), default=target)
         assert calls <= 4 * (low - target) + target + 1

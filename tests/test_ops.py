@@ -119,6 +119,15 @@ class TestAdd:
         b = uni.build_vector([-0.5, 0.25, 0, -1])
         assert add(uni, a, b) == uni.zero_edge
 
+    def test_matrices_add_in_every_quadrant(self, uni):
+        rng = np.random.default_rng(18)
+        a, b = (rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+                for _ in range(2))
+        got = add(uni, uni.build_matrix(a.tolist()),
+                  uni.build_matrix(b.tolist()))
+        err = dd_matrix_to_array(uni, got, 3) - (a + b)
+        assert np.max(np.abs(err)) < 1e-12
+
 
 class TestMultiply:
     def test_cnot_flips(self, uni):
@@ -307,9 +316,9 @@ class TestCollapseMemo:
         for draw in (0.0, 0.9999999):
             first = measure_qubit(uni, v, 3, Forced(draw))
             calls = []
-            make = uni.make_node
+            make = uni._make_node
             prob = qdd.ops.node_probability
-            monkeypatch.setattr(uni, "make_node",
+            monkeypatch.setattr(uni, "_make_node",
                                 lambda *args: calls.append(args) or make(*args))
             monkeypatch.setattr(qdd.ops, "node_probability",
                                 lambda *args: calls.append(args) or prob(*args))
