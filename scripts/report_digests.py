@@ -9,6 +9,10 @@ written here from fixed seeds, so both trees read the same inputs:
     PYTHONPATH=new/src python3 scripts/report_digests.py > new.txt
     diff old.txt new.txt
 
+``--mask KEY`` (repeatable) also drops the report's ``KEY`` entries
+before hashing, so two trees that differ only in that statistic, such as
+``peak_unique_nodes``, print identical lines.
+
 The calls cover 12 random circuits (no, trailing and mid-circuit
 measurement), each at the default GC threshold and at 20; five
 unstructured 10-qubit, 300-gate H/T/CX circuits, each at both
@@ -18,6 +22,7 @@ thresholds, three of which exit 3 with a NormDriftError;
 if any call ends in a traceback or an undocumented exit code.
 """
 
+import argparse
 import hashlib
 import os
 import random
@@ -29,7 +34,12 @@ import tempfile
 SINGLE = ("x", "y", "z", "h", "s", "sdg", "t", "tdg")
 # (seed, job) of perfbench's clifford-t-10 workload; the last three drift
 CLIFFORD_T = ((1, 0), (1, 1), (23, 2), (34, 0), (40, 0))
-WALL_TIME = re.compile(r'"wall_time_ms": [^,\n]*')
+
+
+def key_pattern(keys) -> re.Pattern:
+    """Matches the value of every ``"key": value`` entry of ``keys``."""
+    names = "|".join(re.escape(k) for k in keys)
+    return re.compile(rf'"({names})": [^,\n]*')
 
 
 def random_circuit(seed: int) -> str:
@@ -107,6 +117,10 @@ def invocations() -> list[list[str]]:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--mask", action="append", default=[], metavar="KEY",
+                        help="also drop this report key before hashing")
+    masked = key_pattern(["wall_time_ms", *parser.parse_args().mask])
     env = dict(os.environ)
     paths = env.get("PYTHONPATH", "").split(os.pathsep)
     env["PYTHONPATH"] = os.pathsep.join(os.path.abspath(p) for p in paths if p)
@@ -124,7 +138,7 @@ def main() -> int:
             proc = subprocess.run([sys.executable, "-m", "qdd", *args],
                                   cwd=tmp, env=env, capture_output=True,
                                   text=True)
-            out = WALL_TIME.sub('"wall_time_ms"', proc.stdout)
+            out = masked.sub(r'"\1"', proc.stdout)
             blob = f"{proc.returncode}\n{proc.stderr}\n{out}".encode()
             print(hashlib.sha1(blob).hexdigest()[:12], "qdd", *args)
             if proc.returncode not in (0, 2, 3) or "Traceback" in proc.stderr:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .circuit import Circuit, GateOp, MeasureAllOp, MeasureOp
 from .dd import Edge, Universe, count_nodes
-from .gates import GateSpec, _gate_dd, build_gate_dd
+from .gates import GateSpec, _gate_dd
 from .ops import (NormDriftError, PROB_TOL, measure_all, measure_qubit,
                   multiply, norm_squared)
 
@@ -49,8 +49,9 @@ class SimStats:
 
 
 def gate_dd_for(uni: Universe, n: int, spec: GateSpec, cache: dict) -> Edge:
-    """build_gate_dd(uni, n, spec), also recorded in ``cache[spec]``."""
-    edge = cache[spec] = build_gate_dd(uni, n, spec)
+    """The gate diagram the engine applies, which ends at the gate's top
+    qubit (see qdd.gates), also recorded in ``cache[spec]``."""
+    edge = cache[spec] = Edge(*_gate_dd(uni, n, spec))
     return edge
 
 

@@ -5,16 +5,19 @@ Gates are single-target with any number of positive controls (active on
 conjugation. Y is included for gate-set completeness even though the
 core set is X/Z/H plus phases.
 
-build_gate_dd assembles the n-qubit diagram bottom-up without ever
-forming a dense matrix, in heights (qubit q at n - 1 - q, see qdd.dd).
-Below the target's lowest lower control, each quadrant track of the base
-matrix is its entry times the identity chain the Universe shares; from
-there up to the target the tracks are identity-extended at plain heights
-and gated into e11 at control heights (identity in e00); the target joins
-them and each height above adds one node. The result has at most 2n
-nodes when no control sits below the target, else at most 4n: such a
-height can hold the identity and three distinct tracks. For every kind
-but H a zero diagonal or off-diagonal merges or drops one of them, so 3n.
+The engine's gate diagram (_gate_dd) is built bottom-up without ever
+forming a dense matrix, in heights (qubit q at n - 1 - q, see qdd.dd),
+and ends at the gate's top qubit, the highest of target and controls;
+qdd.ops.multiply treats the qubits above as identity. Below the target's
+lowest lower control, each quadrant track of the base matrix is its
+entry times the identity chain the Universe shares; from there up to the
+target the tracks are identity-extended at plain heights and gated into
+e11 at control heights (identity in e00); the target joins them and each
+height above, to the top, adds one node. build_gate_dd adds one per
+height above the top, for the full n-qubit operator: at most 2n nodes
+when no control sits below the target, else at most 4n, as such a height
+can hold the identity and three distinct tracks. For every kind but H a
+zero diagonal or off-diagonal merges or drops one of them, so 3n.
 """
 
 from __future__ import annotations
@@ -103,11 +106,18 @@ def identity_dd(uni: Universe, n: int) -> Edge:
 
 def build_gate_dd(uni: Universe, n: int, spec: GateSpec) -> Edge:
     """n-qubit diagram of a controlled single-qubit gate; memoized until GC."""
-    return Edge(*_gate_dd(uni, n, spec))
+    key = (n, spec, "full")
+    e = uni.cache.gates.get(key)
+    if e is None:
+        e = _gate_dd(uni, n, spec)
+        for _ in range(e[1].height + 1, n):
+            e = uni._make_diagonal_node(e)
+        uni.cache.gates[key] = e
+    return Edge(*e)
 
 
 def _gate_dd(uni: Universe, n: int, spec: GateSpec) -> tuple:
-    """build_gate_dd as a (weight, node) pair."""
+    """The gate's diagram up to its top qubit, as a (weight, node) pair."""
     memo = uni.cache.gates.get((n, spec))
     if memo is not None:
         return memo
@@ -141,7 +151,7 @@ def _gate_dd(uni: Universe, n: int, spec: GateSpec) -> tuple:
             elif t[0] is not ct.zero:
                 tracks[k] = uni._make_node((zero, zero, zero, t))
     e = uni._make_node(tracks)
-    for h in range(target + 1, n):
+    for h in range(target + 1, max(controls | {target}) + 1):
         if h in controls:
             e = uni._make_node((chain[h], zero, zero, e))
         else:

@@ -55,7 +55,8 @@ def kron(uni: Universe, a: Edge, b: Edge) -> Edge:
     ct = uni.ctab
     if a.w is ct.zero or b.w is ct.zero:
         return uni.zero_edge
-    return Edge(ct.cmul(a.w, b.w), _kron_rebuild(uni, {}, a.node, b.node))
+    return Edge(*_edge(uni, ct.cmul(a.w, b.w),
+                       _kron_rebuild(uni, {}, a.node, b.node)))
 
 
 def _kron_rebuild(uni: Universe, memo: dict, node, below):
@@ -120,7 +121,9 @@ def _add(uni: Universe, p: tuple, q: tuple) -> tuple:
 # -- matrix-vector multiplication -------------------------------------------
 
 def multiply(uni: Universe, u: Edge, v: Edge) -> Edge:
-    """Apply the operator u to the state v (same qubit count)."""
+    """Apply the operator u to the state v. A u over fewer qubits acts on
+    v's lowest ones, as identity on the qubits above its top (the
+    engine's gate diagrams end there); a u over more raises ValueError."""
     ct = uni.ctab
     (uw, un), (vw, vn) = u, v
     if uw is ct.zero or vw is ct.zero:
@@ -133,13 +136,11 @@ def _mul_nodes(uni: Universe, un, vn) -> tuple:
     ct = uni.ctab
     cache = uni.cache
     cache.ops_count += 1
-    if un is TERMINAL or vn is TERMINAL:
-        if un is not vn:
-            raise ValueError("operands span different qubit counts")
-        return ct.one, TERMINAL
-    if un.height != vn.height:
-        raise ValueError(
-            f"operands span different qubit counts: {un.height} vs {vn.height}")
+    if un.height > vn.height:
+        raise ValueError("operator spans more qubits than the state: "
+                         f"{un.height + 1} vs {vn.height + 1}")
+    if un is TERMINAL:
+        return ct.one, vn
     h = un.height + 1
     if h < len(cache.chain) and cache.chain[h][1] is un:
         # what the recursion returns: cmul and cdiv by the interned 1
@@ -150,17 +151,26 @@ def _mul_nodes(uni: Universe, un, vn) -> tuple:
     if hit is not None:
         return hit
     zero = ct.zero
-    u00, u01, u10, u11 = un.succ
     parts = []
-    for row in ((u00, u01), (u10, u11)):
-        acc = uni.zero_edge
-        for (uw, unx), (vw, vnx) in zip(row, vn.succ):
-            if uw is zero or vw is zero:
-                continue
-            sw, sn = _mul_nodes(uni, unx, vnx)
-            term = _edge(uni, ct.cmul(ct.cmul(uw, vw), sw), sn)
-            acc = term if acc[0] is zero else _add(uni, acc, term)
-        parts.append(acc)
+    if un.height < vn.height:
+        # identity on vn's qubit: diag(u, u), both weights the interned 1
+        for vw, vnx in vn.succ:
+            if vw is zero:
+                parts.append(uni.zero_edge)
+            else:
+                sw, sn = _mul_nodes(uni, un, vnx)
+                parts.append(_edge(uni, ct.cmul(vw, sw), sn))
+    else:
+        u00, u01, u10, u11 = un.succ
+        for row in ((u00, u01), (u10, u11)):
+            acc = uni.zero_edge
+            for (uw, unx), (vw, vnx) in zip(row, vn.succ):
+                if uw is zero or vw is zero:
+                    continue
+                sw, sn = _mul_nodes(uni, unx, vnx)
+                term = _edge(uni, ct.cmul(ct.cmul(uw, vw), sw), sn)
+                acc = term if acc[0] is zero else _add(uni, acc, term)
+            parts.append(acc)
     res = cache.mult[key] = uni._make_node(parts)
     return res
 
@@ -322,23 +332,29 @@ def measure_all(uni: Universe, v: Edge, rng) -> str:
 
     Equivalent to measuring the top qubit and recursing into the observed
     branch, qubit by qubit; the conditional split at each node is its two
-    branch masses over the node probability. One uniform draw per qubit.
+    branch masses over the node probability, memoized per node in the
+    compute cache. One uniform draw per qubit.
     """
-    total = norm_squared(uni, v)
+    node = v.node
+    prob = uni.cache.prob.get(node) or node_probability(uni, node)
+    total = magnitude_squared(v.w) * prob
     dev = abs(total - 1.0)
     if dev > PROB_TOL:
         raise NormDriftError(f"state norm is {total!r}", deviation=dev)
-    ct = uni.ctab
+    zero = uni.ctab.zero
+    branch = uni.cache.branch
     bits: list[str] = []
-    node = v.node
     while node is not TERMINAL:
         (w0, n0), (w1, n1) = node.succ
-        p0 = p1 = 0.0
-        if w0 is not ct.zero:
-            p0 = magnitude_squared(w0) * node_probability(uni, n0)
-        if w1 is not ct.zero:
-            p1 = magnitude_squared(w1) * node_probability(uni, n1)
-        if rng.random() < p0 / (p0 + p1):
+        p0_share = branch.get(node)
+        if p0_share is None:
+            p0 = p1 = 0.0
+            if w0 is not zero:
+                p0 = magnitude_squared(w0) * node_probability(uni, n0)
+            if w1 is not zero:
+                p1 = magnitude_squared(w1) * node_probability(uni, n1)
+            p0_share = branch[node] = p0 / (p0 + p1)
+        if rng.random() < p0_share:
             bits.append("0")
             node = n0
         else:

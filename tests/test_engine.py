@@ -171,22 +171,36 @@ class TestGateDDCache:
         assert a == b and len(cache) == 1
 
     def test_warm_build_constructs_nothing_until_gc(self, monkeypatch):
-        uni = Universe()
-        spec = GateSpec(GateKind.X, 2, frozenset({0, 4}))
-        cold = build_gate_dd(uni, 5, spec)
+        # the second spec's top qubit is 2, so its full-width build extends
+        # the engine's diagram by two heights, which must be memoized too
+        for spec in (GateSpec(GateKind.X, 2, frozenset({0, 4})),
+                     GateSpec(GateKind.H, 3, frozenset({2}))):
+            uni = Universe()
+            cold = build_gate_dd(uni, 5, spec)
+            cold_core = gate_dd_for(uni, 5, spec, {})
 
-        def no_build(*args):
-            raise AssertionError("warm gate build constructed a node")
-        monkeypatch.setattr(uni, "_make_node", no_build)
-        monkeypatch.setattr(uni, "_make_diagonal_node", no_build)
-        warm = build_gate_dd(uni, 5, spec)
-        assert warm.w is cold.w and warm.node is cold.node
-        monkeypatch.undo()
-        uni.gc_collect([])
-        assert uni.cache.gates == {} and uni.live_nodes == 0
-        rebuilt = build_gate_dd(uni, 5, spec)
-        assert rebuilt.w is cold.w and rebuilt.node is not cold.node
-        assert count_nodes(rebuilt) == count_nodes(cold)
+            def no_build(*args):
+                raise AssertionError("warm gate build constructed a node")
+            monkeypatch.setattr(uni, "_make_node", no_build)
+            monkeypatch.setattr(uni, "_make_diagonal_node", no_build)
+            warm = build_gate_dd(uni, 5, spec)
+            assert warm.w is cold.w and warm.node is cold.node
+            assert gate_dd_for(uni, 5, spec, {}) == cold_core
+            monkeypatch.undo()
+            uni.gc_collect([])
+            assert uni.cache.gates == {} and uni.live_nodes == 0
+            rebuilt = build_gate_dd(uni, 5, spec)
+            assert rebuilt.w is cold.w and rebuilt.node is not cold.node
+            assert count_nodes(rebuilt) == count_nodes(cold)
+
+    def test_engine_gate_ends_at_its_top_qubit(self):
+        uni = Universe()
+        gate = gate_dd_for(uni, 48, GateSpec(GateKind.H, 47), {})
+        assert gate.node.height == 0
+        chain_nodes = len(uni.cache.chain) - 1  # chain[0] is the terminal
+        assert uni.live_nodes - chain_nodes <= 2
+        top = GateSpec(GateKind.X, 40, frozenset({9, 45}))
+        assert gate_dd_for(uni, 48, top, {}).node.height == 48 - 1 - 9
 
 
 class TestNodeCountMemo:

@@ -77,6 +77,12 @@ class TestKron:
         b = uni.build_matrix([[1, 0], [0, 1j]])
         assert cyclic_garbage(kron, uni, a, b) == 0
 
+    def test_underflowing_weight_gives_the_zero_edge(self, uni):
+        # 1e-6 * 1e-6 interns to zero, which only the zero edge may carry
+        a = uni.build_vector([1e-6, 0])
+        assert a.w is not uni.ctab.zero
+        assert kron(uni, a, a) == uni.zero_edge
+
 
 def _one_edge(uni):
     from qdd import Edge
@@ -176,6 +182,31 @@ class TestMultiply:
             ve = multiply(uni, build_gate_dd(uni, 8, spec), ve)
             v = dense.controlled_gate(8, spec) @ v
             assert np.max(np.abs(dd_to_array(uni, ve, 8) - v)) < 1e-9
+
+    def test_lower_operator_acts_as_identity_above(self, uni):
+        # an operator over the k lowest qubits of n: the product equals the
+        # one with the operator padded by kron, and the one with the
+        # full-width gate shifted down by n - k, edge for edge
+        from _util import random_gate_spec
+        from qdd import identity_dd
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            n = int(rng.integers(2, 8))
+            k = int(rng.integers(1, n))
+            spec = random_gate_spec(rng, k)
+            u = build_gate_dd(uni, k, spec)
+            full = build_gate_dd(uni, n, GateSpec(
+                spec.kind, spec.target + n - k,
+                frozenset(c + n - k for c in spec.controls), spec.param))
+            v = uni.build_vector(list(random_state(rng, n)))
+            padded = kron(uni, identity_dd(uni, n - k), u)
+            got = multiply(uni, u, v)
+            assert got == multiply(uni, padded, v) == multiply(uni, full, v)
+
+    def test_taller_operator_rejected(self, uni):
+        gate = build_gate_dd(uni, 3, GateSpec(GateKind.H, 0))
+        with pytest.raises(ValueError, match="more qubits than the state"):
+            multiply(uni, gate, uni.basis_state(2, "01"))
 
     def test_cost_stays_proportional_to_node_product(self, uni):
         # multiply on a linear-size gate and a built state should touch
@@ -373,6 +404,45 @@ class TestMeasureAll:
         seq1 = [measure_all(uni, bell, random.Random(5)) for _ in range(20)]
         seq2 = [measure_all(uni, bell, random.Random(5)) for _ in range(20)]
         assert seq1 == seq2
+
+    @staticmethod
+    def _walk(uni, v, rng):
+        """measure_all's loop without the per-node threshold memo."""
+        from qdd.cvalue import magnitude_squared
+        bits = []
+        node = v.node
+        while node is not TERMINAL:
+            (w0, n0), (w1, n1) = node.succ
+            p0 = p1 = 0.0
+            if w0 is not uni.ctab.zero:
+                p0 = magnitude_squared(w0) * node_probability(uni, n0)
+            if w1 is not uni.ctab.zero:
+                p1 = magnitude_squared(w1) * node_probability(uni, n1)
+            if rng.random() < p0 / (p0 + p1):
+                bits.append("0")
+                node = n0
+            else:
+                bits.append("1")
+                node = n1
+        return "".join(bits)
+
+    def test_warm_state_costs_a_lookup_per_level(self, uni, monkeypatch):
+        import qdd.ops as ops
+        rng_np = np.random.default_rng(17)
+        v = uni.build_vector(list(random_state(rng_np, 6)))
+
+        def shots(sample, seed):
+            rng = random.Random(seed)
+            return [sample(uni, v, rng) for _ in range(50)]
+        cold = [shots(measure_all, seed) for seed in range(8)]
+        calls = []
+        probability = ops.node_probability
+        monkeypatch.setattr(ops, "node_probability", lambda uni, node: (
+            calls.append(node) or probability(uni, node)))
+        # the same draws revisit only nodes whose threshold is memoized
+        assert [shots(measure_all, seed) for seed in range(8)] == cold
+        assert calls == []
+        assert [shots(self._walk, seed) for seed in range(8)] == cold
 
 
 class TestNormSquared:
