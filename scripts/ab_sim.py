@@ -18,7 +18,9 @@ itself are not drowned out by them. Both trees must draw the same jobs;
 the run stops if their inputs differ. The output gives one line per round,
 then per tree the median and quartiles of both times and the failed
 count, the rounds in which B was faster than A, and whether the two
-trees' histograms and stats matched.
+trees' histograms and stats matched. ``--mask KEY`` (repeatable) leaves
+the stat ``KEY`` out of that comparison, so two trees that differ only
+in it, such as ``peak_unique_nodes``, read as identical.
 """
 
 from __future__ import annotations
@@ -32,9 +34,12 @@ import sys
 
 CHILD = r"""
 import hashlib, json, sys, time
-tree = sys.argv[1]
+tree, masked = sys.argv[1], ["wall_time_ms", *json.loads(sys.argv[4])]
 sys.path[:0] = [tree + "/src", tree + "/perfbench"]
 import qdd
+for key in masked:
+    if not hasattr(qdd.SimStats(), key):
+        sys.exit(f"--mask {key}: SimStats has no such field")
 from workloads import make_jobs
 inputs, results = hashlib.sha1(), hashlib.sha1()
 wall_ms = cpu_s = 0.0
@@ -51,7 +56,8 @@ for job in make_jobs(sys.argv[2], int(sys.argv[3])):
         results.update(repr(("drift", err.op_index)).encode())
     else:
         wall_ms += stats.wall_time_ms
-        stats.wall_time_ms = 0.0
+        for key in masked:
+            setattr(stats, key, None)
         results.update(repr(stats).encode())
     cpu_s += time.process_time() - t
 print(json.dumps({"wall_ms": wall_ms, "cpu_s": cpu_s, "failed": failed,
@@ -61,10 +67,10 @@ print(json.dumps({"wall_ms": wall_ms, "cpu_s": cpu_s, "failed": failed,
 CHILD_TIMEOUT_S = 900
 
 
-def child(tree: str, workload: str, seed: int) -> dict:
+def child(tree: str, workload: str, seed: int, mask: list[str]) -> dict:
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, os.path.abspath(tree), workload,
-         str(seed)],
+         str(seed), json.dumps(mask)],
         capture_output=True, text=True, timeout=CHILD_TIMEOUT_S,
         env={k: v for k, v in os.environ.items() if k != "PYTHONPATH"})
     if proc.returncode != 0:
@@ -87,6 +93,8 @@ def main(argv: list[str] | None = None) -> int:
                     choices=("qft-48", "clifford-t-10", "syndrome-23"))
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rounds", type=int, default=10)
+    ap.add_argument("--mask", action="append", default=[], metavar="KEY",
+                    help="leave this stat out of the results comparison")
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
@@ -94,7 +102,8 @@ def main(argv: list[str] | None = None) -> int:
     trees = {"A": args.tree_a, "B": args.tree_b}
     for r in range(args.rounds):
         for side in ("AB" if r % 2 == 0 else "BA"):
-            runs[side].append(child(trees[side], args.workload, args.seed))
+            runs[side].append(child(trees[side], args.workload, args.seed,
+                                    args.mask))
         a, b = runs["A"][-1], runs["B"][-1]
         if a["inputs"] != b["inputs"]:
             sys.exit("the two trees drew different jobs")

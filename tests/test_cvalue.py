@@ -1,11 +1,12 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qdd import ComplexTable, magnitude_squared
-from qdd.cvalue import DEFAULT_TOL
+from qdd.cvalue import DEFAULT_TOL, ComplexValue
 
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False,
                    allow_infinity=False)
@@ -42,6 +43,17 @@ def test_non_finite_rejected(table):
             table.intern(complex(bad, 0.0))
         with pytest.raises(ValueError):
             table.intern(complex(0.0, bad))
+
+
+def test_too_large_to_bucket_rejected(table):
+    # the cell index re / DEFAULT_TOL overflows a float from about 1.8e298
+    for big in (1e299, -1.7e308):
+        with pytest.raises(ValueError, match="too large"):
+            table.intern(complex(big, 0.0))
+        with pytest.raises(ValueError, match="too large"):
+            table.intern(complex(0.0, big))
+    assert len(table) == 4
+    assert table.intern(1e298).real == 1e298
 
 
 def test_near_zero_snaps_to_canonical_zero(table):
@@ -184,3 +196,76 @@ def test_idx_is_the_creation_rank(table):
         assert len(table) == rank + 1
     assert table.intern(complex(2, 0.5 + 5e-11)).idx == 4  # a hit adds none
     assert len(table) == 9
+
+
+class NineProbeTable:
+    """The reference lookup: scan the input's 3x3 neighbour cells in a
+    fixed order and return the first entry within tolerance."""
+
+    OFFSETS = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1),
+               (-1, -1), (-1, 1), (1, -1), (1, 1))
+
+    def __init__(self):
+        self.cells = {}
+        self.ranked_lookups = 0  # lookups with two or more candidates
+        for z in (0.0, 1.0, 1 / math.sqrt(2), -1 / math.sqrt(2)):
+            self.intern(z)
+
+    def intern(self, z):
+        re, im = z.real, z.imag
+        cr = math.floor(re / DEFAULT_TOL)
+        ci = math.floor(im / DEFAULT_TOL)
+        found = []
+        for dr, di in self.OFFSETS:
+            hit = self.cells.get((cr + dr, ci + di))
+            if (hit is not None and abs(hit.real - re) < DEFAULT_TOL
+                    and abs(hit.imag - im) < DEFAULT_TOL):
+                found.append(hit)
+        if found:
+            self.ranked_lookups += len(found) > 1
+            return found[0]
+        value = self.cells[cr, ci] = ComplexValue(z)
+        value.idx = len(self.cells) - 1
+        return value
+
+
+def clustered_inputs(seed: int, clusters: int) -> list[complex]:
+    """Clusters of values a few cells wide, packed densely enough that
+    many inputs are within tolerance of entries in two or more cells."""
+    rng = random.Random(seed)
+    far = 1 << 44  # cells from here on have block coordinates past 2^39
+    out = []
+    for _ in range(clusters):
+        block_r = rng.choice((0, -1, 3, -7, far >> 5, -(far >> 5) - 2))
+        block_i = rng.choice((0, -1, 5, -2, far >> 5, (far >> 4) + 1))
+        # a cell on a block border (offset 0 or 31) or next to one
+        cr = (block_r << 5) + rng.choice((0, 31, 1, 30, 16))
+        ci = (block_i << 5) + rng.choice((0, 31, 1, 30, 16))
+        for _ in range(12):
+            # positions within a cell: either edge, or anywhere
+            u, v = (rng.choice((0.0, 1e-7, 0.5, 1 - 1e-7, rng.random()))
+                    for _ in range(2))
+            out.append(complex((cr + rng.randint(-2, 2) + u) * DEFAULT_TOL,
+                               (ci + rng.randint(-2, 2) + v) * DEFAULT_TOL))
+    # two values whose blocks (0, 2^40) and (1, 0) share a packed key
+    out += [complex(0.0, (1 << 45) * DEFAULT_TOL), complex(32 * DEFAULT_TOL)]
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_block_table_matches_nine_probe_scan(seed):
+    inputs = clustered_inputs(seed, 300)
+    table, ref = ComplexTable(), NineProbeTable()
+    by_idx = {}
+    for z in inputs:
+        got, want = table.intern(z), ref.intern(z)
+        assert got.idx == want.idx and bits(got) == bits(want)
+        assert by_idx.setdefault(got.idx, got) is got
+    assert len(table) == len(ref.cells)
+    # the inputs reach the cases the block table must get right
+    assert ref.ranked_lookups > 100
+    cells = [(math.floor(z.real / DEFAULT_TOL),
+              math.floor(z.imag / DEFAULT_TOL)) for z in inputs]
+    assert {cr % 32 for cr, _ in cells} >= {0, 31}
+    assert min(cr for cr, _ in cells) < 0 and min(ci for _, ci in cells) < 0
+    assert max(max(map(abs, cell)) for cell in cells) >= 1 << 44

@@ -173,6 +173,10 @@ class TestBuildVector:
         with pytest.raises(ValueError):
             uni.build_vector([1, 0, 0])
 
+    def test_rejects_amplitudes_too_large_to_intern(self, uni):
+        with pytest.raises(ValueError, match="too large"):
+            uni.build_vector([1e299, 0])
+
     def test_roundtrip_random_3q(self, uni):
         rng = np.random.default_rng(11)
         a = rng.normal(size=8) + 1j * rng.normal(size=8)
