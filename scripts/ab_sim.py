@@ -17,10 +17,12 @@ imports and circuit parsing, so small differences in the simulation
 itself are not drowned out by them. Both trees must draw the same jobs;
 the run stops if their inputs differ. The output gives one line per round,
 then per tree the median and quartiles of both times and the failed
-count, the rounds in which B was faster than A, and whether the two
-trees' histograms and stats matched. ``--mask KEY`` (repeatable) leaves
-the stat ``KEY`` out of that comparison, so two trees that differ only
-in it, such as ``peak_unique_nodes``, read as identical.
+count of every round, the rounds in which B was faster than A, and
+whether the two trees' histograms and stats matched: "results
+identical" only if every round of both trees gave the same digest.
+``--mask KEY`` (repeatable) leaves the stat ``KEY`` out of that
+comparison, so two trees that differ only in it, such as
+``peak_unique_nodes``, read as identical.
 """
 
 from __future__ import annotations
@@ -114,12 +116,13 @@ def main(argv: list[str] | None = None) -> int:
             q1, med, q3 = quartiles([run[key] for run in runs[side]])
             print(f"{side} {trees[side]}: {key} median {med:.4g} "
                   f"(quartiles {q1:.4g}-{q3:.4g})")
-        print(f"{side} {trees[side]}: failed {runs[side][0]['failed']} "
+        failed = " ".join(str(run["failed"]) for run in runs[side])
+        print(f"{side} {trees[side]}: failed per round {failed} "
               f"of the workload's jobs")
     for key in ("wall_ms", "cpu_s"):
         wins = sum(b[key] < a[key] for a, b in zip(runs["A"], runs["B"]))
         print(f"B faster on {key} in {wins} of {args.rounds} rounds")
-    same = runs["A"][0]["results"] == runs["B"][0]["results"]
+    same = len({run["results"] for side in "AB" for run in runs[side]}) == 1
     print("results identical" if same else "results differ")
     return 0
 

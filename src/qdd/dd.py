@@ -92,14 +92,13 @@ class ComputeCache:
 
     Keys embed operand identities (nodes and interned weight handles), so
     a hit returns exactly the edge recomputation would produce.
-    Measurement keeps three: ``split`` maps (root node, root weight,
-    qubit) to the outcome probabilities, ``collapse`` maps (height,
-    outcome) to a per-node rebuild memo, so a state that a later shot
-    measures again costs a lookup, and ``branch`` maps a node to
-    measure_all's draw threshold. ``gates`` holds the gate diagrams and
-    ``chain`` identity_chain's. Garbage collection drops the whole cache,
-    these memos included, because a memoized result may name a swept node;
-    only the chain's live prefix stays.
+    Measurement keeps two: ``split`` maps (root node, root weight, qubit)
+    to the outcome probabilities, and ``branch`` maps a node to
+    measure_all's draw threshold; a collapse is a multiplication, memoized
+    in ``mult``. ``gates`` holds the gate diagrams and ``chain``
+    identity_chain's. Garbage collection drops the whole cache, these
+    memos included, because a memoized result may name a swept node; only
+    the chain's live prefix stays.
     """
 
     def __init__(self):
@@ -110,7 +109,6 @@ class ComputeCache:
         self.add: dict = {}
         self.mult: dict = {}
         self.prob: dict = {}
-        self.collapse: dict = {}
         self.split: dict = {}
         self.branch: dict = {}
         self.gates: dict = {}

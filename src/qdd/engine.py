@@ -145,9 +145,10 @@ def run(circuit: Circuit, config: EngineConfig | None = None,
     with _collector_paused():
         t0 = time.perf_counter()
         sim = _Simulation(circuit, cfg)
-        sim.execute(on_op)
-        sim.stats.wall_time_ms = (time.perf_counter() - t0) * 1e3
-    return sim.state, sim.stats
+        state, stats = sim.execute(on_op), sim.stats
+        stats.wall_time_ms = (time.perf_counter() - t0) * 1e3
+        del sim  # frees the universe while the collector is paused
+    return state, stats
 
 
 def _measures_mid_circuit(circuit: Circuit) -> bool:

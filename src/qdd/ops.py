@@ -13,8 +13,8 @@ products. Measurement works on node probabilities
 
     p(node) = |w_l|^2 * p(left) + |w_r|^2 * p(right),   p(terminal) = 1,
 
-collapses by swapping the losing branch for a zero stub, and renormalizes
-through the root edge weight.
+collapses by multiplying the state with the projector onto the observed
+outcome, and renormalizes through the root edge weight.
 """
 
 from __future__ import annotations
@@ -226,44 +226,25 @@ def _pick(rng, p0: float, p1: float) -> tuple[int, float]:
 
 
 def _collapse(uni: Universe, v: Edge, q: int, outcome: int, prob: float) -> Edge:
-    """Zero-stub the losing branch of every qubit-q node, renormalize.
+    """Multiply the state by the projector |outcome><outcome| on qubit q,
+    renormalize.
 
-    A node's rebuild depends only on (node, height of q, outcome), so the
-    per-node memo lives in the compute cache under (height, outcome) and
-    outlasts the call: a later shot that meets the same state reuses it.
-    gc_collect drops it with the rest of the cache.
+    The projector ends at qubit q, so multiply passes the qubits below it
+    through on the identity chain and memoizes each rebuilt node in the
+    mult cache under (projector node, state node): a later shot that
+    measures the same state again pays a lookup.
     """
     height = v.node.height - q
-    memo = uni.cache.collapse.setdefault((height, outcome), {})
-    cw, cn = _collapse_node(uni, memo, v.node, height, outcome)
+    link = uni.identity_chain(height)[height]
+    z = uni.zero_edge
+    # its one nonzero weight is the interned 1, so the key is canonical
+    proj = uni._unique(height, (link, z, z, z) if outcome == 0
+                       else (z, z, z, link))
+    cw, cn = _mul_nodes(uni, proj, v.node)
     ct = uni.ctab
     scale = ct.intern(1.0 / math.sqrt(prob))
     w = ct.cmul(ct.cmul(v.w, cw), scale)
     return Edge(*_edge(uni, w, cn))
-
-
-def _collapse_node(uni: Universe, memo: dict, node, height: int,
-                   outcome: int) -> tuple:
-    """_collapse's rebuild of one node."""
-    got = memo.get(node)
-    if got is not None:
-        return got
-    stub = uni.zero_edge
-    if node.height == height:
-        kept = node.succ[outcome]
-        res = uni._make_node((kept, stub) if outcome == 0 else (stub, kept))
-    else:
-        ct = uni.ctab
-        parts = []
-        for w, nxt in node.succ:
-            if w is ct.zero:
-                parts.append(stub)
-            else:
-                sw, sn = _collapse_node(uni, memo, nxt, height, outcome)
-                parts.append(_edge(uni, ct.cmul(w, sw), sn))
-        res = uni._make_node(parts)
-    memo[node] = res
-    return res
 
 
 def _split(uni: Universe, v: Edge, q: int) -> tuple[float, float]:
@@ -271,7 +252,7 @@ def _split(uni: Universe, v: Edge, q: int) -> tuple[float, float]:
 
     Accumulates the squared-magnitude mass reaching each qubit-q node and
     splits it through the two branches. Memoized per (root node, root
-    weight handle, q), like the collapse.
+    weight handle, q).
     """
     key = (v.node, v.w, q)
     hit = uni.cache.split.get(key)

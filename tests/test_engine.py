@@ -300,6 +300,35 @@ class TestCollectorPause:
         finally:
             (gc.enable if was else gc.disable)()
 
+    @pytest.mark.parametrize("entry", [run, sample])
+    def test_universe_freed_before_collector_resumes(self, entry,
+                                                     monkeypatch):
+        import weakref
+        import qdd.engine as engine
+        universes, alive_at_enable = [], []
+
+        class Recording(engine._Simulation):
+            def __init__(self, *args):
+                super().__init__(*args)
+                universes.append(weakref.ref(self.uni))
+
+        enable = gc.enable
+
+        def checked_enable():
+            alive_at_enable.extend(ref() is not None for ref in universes)
+            enable()
+        was = gc.isenabled()
+        gc.enable()
+        monkeypatch.setattr(engine, "_Simulation", Recording)
+        monkeypatch.setattr(gc, "enable", checked_enable)
+        try:
+            entry(parse(self.MID), EngineConfig(shots=5))
+        finally:
+            monkeypatch.undo()
+            (gc.enable if was else gc.disable)()
+        assert len(universes) == 1
+        assert alive_at_enable == [False]
+
     @pytest.mark.parametrize("threshold", [1_000_000, 20])
     def test_sample_leaves_no_cyclic_garbage(self, threshold):
         cfg = EngineConfig(seed=3, shots=20, gc_threshold=threshold)

@@ -309,8 +309,10 @@ class TestMeasureQubit:
             assert outcome == int(want[1])
 
     def test_conditional_against_dense(self, uni):
+        import qdd.ops
+        ct = uni.ctab
         rng = np.random.default_rng(31)
-        for n in (3, 5, 8):
+        for n in (3, 5, 8, 1):
             a = random_state(rng, n)
             v = uni.build_vector(list(a))
             q = int(rng.integers(n))
@@ -324,6 +326,12 @@ class TestMeasureQubit:
             # by a positive real, so direct comparison is valid
             assert np.max(np.abs(got - want)) < 1e-9
             assert_valid_state(uni, post)
+            # edge for edge, the post-state is the projector product scaled
+            # by 1/sqrt(p)
+            m = multiply(uni, uni.build_matrix(np.diag(mask.astype(float))), v)
+            p = qdd.ops._split(uni, v, q)[outcome]
+            assert post.node is m.node
+            assert post.w is ct.cmul(m.w, ct.intern(1 / math.sqrt(p)))
 
     def test_out_of_range(self, uni):
         v = uni.basis_state(2, "00")
