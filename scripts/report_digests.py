@@ -16,7 +16,9 @@ before hashing, so two trees that differ only in that statistic, such as
 The calls cover 12 random circuits (no, trailing and mid-circuit
 measurement), each at the default GC threshold and at 20; five
 unstructured 10-qubit, 300-gate H/T/CX circuits, each at both
-thresholds, three of which exit 3 with a NormDriftError;
+thresholds, three of which exit 3 with a NormDriftError; two
+11-qubit repetition-code syndrome circuits, whose mid-circuit outcomes
+are random or certain (0 or 1), each at both thresholds;
 ``--dump-state`` with no, trailing and mid-circuit measurement;
 ``dot``, ``dot --gate``, four ``bench`` runs and one bad input. Exits 1
 if any call ends in a traceback or an undocumented exit code.
@@ -34,6 +36,8 @@ import tempfile
 SINGLE = ("x", "y", "z", "h", "s", "sdg", "t", "tdg")
 # (seed, job) of perfbench's clifford-t-10 workload; the last three drift
 CLIFFORD_T = ((1, 0), (1, 1), (23, 2), (34, 0), (40, 0))
+# seeds of syndrome_circuit: H on data qubit 2, then 4
+SYNDROME = (1, 3)
 
 
 def key_pattern(keys) -> re.Pattern:
@@ -89,6 +93,25 @@ def clifford_t_circuit(seed: int, job: int) -> tuple[str, int]:
     return "\n".join(lines) + "\n", rng.randrange(1 << 31)
 
 
+def syndrome_circuit(seed: int) -> str:
+    """Repetition-code syndrome extraction on 6 data qubits and 5
+    ancillas: a GHZ state on the data, H on a drawn inner data qubit,
+    then each ancilla takes the parity of its two data neighbours and is
+    measured; the two parities that touch the H qubit agree, so the
+    first is random and the second certain. Ends with measure_all."""
+    rng = random.Random(f"syndrome/{seed}")
+    data = 6
+    lines = [f"qubits {2 * data - 1}", "h 0"]
+    lines += [f"cx {q} {q + 1}" for q in range(data - 1)]
+    lines.append(f"h {rng.randrange(1, data - 1)}")
+    for i in range(data - 1):
+        ancilla = data + i
+        lines += [f"cx {i} {ancilla}", f"cx {i + 1} {ancilla}",
+                  f"measure {ancilla}"]
+    lines.append("measure_all")
+    return "\n".join(lines) + "\n"
+
+
 def invocations() -> list[list[str]]:
     calls = []
     for seed in range(12):
@@ -98,6 +121,9 @@ def invocations() -> list[list[str]]:
     for seed, job in CLIFFORD_T:
         run = ["run", f"ct{seed:02d}-{job}.qdd", "--seed",
                str(clifford_t_circuit(seed, job)[1]), "--shots", "20"]
+        calls += [run, run + ["--gc-threshold", "20"]]
+    for seed in SYNDROME:
+        run = ["run", f"syn{seed}.qdd", "--seed", str(seed), "--shots", "20"]
         calls += [run, run + ["--gc-threshold", "20"]]
     calls += [
         ["run", "rand00.qdd", "--dump-state"],
@@ -132,6 +158,9 @@ def main() -> int:
         for seed, job in CLIFFORD_T:
             with open(os.path.join(tmp, f"ct{seed:02d}-{job}.qdd"), "w") as f:
                 f.write(clifford_t_circuit(seed, job)[0])
+        for seed in SYNDROME:
+            with open(os.path.join(tmp, f"syn{seed}.qdd"), "w") as f:
+                f.write(syndrome_circuit(seed))
         with open(os.path.join(tmp, "bad.qdd"), "w") as f:
             f.write("qubits 2\nh 0\ncx 0 5\n")
         for args in invocations():

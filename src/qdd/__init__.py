@@ -1,12 +1,12 @@
 """Quantum circuit simulation on edge-weighted decision diagrams."""
 
 from .cvalue import ComplexTable, ComplexValue, magnitude_squared
-from .dd import ComputeCache, Edge, TERMINAL, Universe, count_nodes, export_dot
+from .dd import Edge, TERMINAL, Universe, count_nodes, export_dot
 from .ops import (NormDriftError, PROB_TOL, add, kron, measure_all,
                   measure_qubit, measure_top, multiply, node_probability,
                   norm_squared, qubit_probabilities)
 from .gates import GateKind, GateSpec, base2x2, build_gate_dd, identity_dd
-from .circuit import (Circuit, CircuitOp, GateOp, MeasureAllOp, MeasureOp,
+from .circuit import (Circuit, GateOp, MeasureAllOp, MeasureOp,
                       ParseError, gen_entangle, gen_grover, gen_qft,
                       grover_iterations, parse, serialize)
 from .engine import EngineConfig, SimStats, gate_dd_for, run, sample
@@ -15,12 +15,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ComplexTable", "ComplexValue", "magnitude_squared",
-    "ComputeCache", "Edge", "TERMINAL", "Universe", "count_nodes", "export_dot",
+    "Edge", "TERMINAL", "Universe", "count_nodes", "export_dot",
     "NormDriftError", "PROB_TOL", "add", "kron", "measure_all",
     "measure_qubit", "measure_top", "multiply", "node_probability",
     "norm_squared", "qubit_probabilities",
     "GateKind", "GateSpec", "base2x2", "build_gate_dd", "identity_dd",
-    "Circuit", "CircuitOp", "GateOp", "MeasureAllOp", "MeasureOp",
+    "Circuit", "GateOp", "MeasureAllOp", "MeasureOp",
     "ParseError", "gen_entangle", "gen_grover", "gen_qft",
     "grover_iterations", "parse", "serialize",
     "EngineConfig", "SimStats", "gate_dd_for", "run", "sample",

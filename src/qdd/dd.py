@@ -92,13 +92,12 @@ class ComputeCache:
 
     Keys embed operand identities (nodes and interned weight handles), so
     a hit returns exactly the edge recomputation would produce.
-    Measurement keeps two: ``split`` maps (root node, root weight, qubit)
-    to the outcome probabilities, and ``branch`` maps a node to
-    measure_all's draw threshold; a collapse is a multiplication, memoized
-    in ``mult``. ``gates`` holds the gate diagrams and ``chain``
-    identity_chain's. Garbage collection drops the whole cache, these
-    memos included, because a memoized result may name a swept node; only
-    the chain's live prefix stays.
+    Measurement keeps ``prob``, a node's probability mass, and
+    ``branch``, a node's measure_all draw threshold; a projection onto an
+    outcome is a multiplication, memoized in ``mult``. ``gates`` holds the
+    gate diagrams and ``chain`` identity_chain's. Garbage collection drops
+    the whole cache, these memos included, because a memoized result may
+    name a swept node; only the chain's live prefix stays.
     """
 
     def __init__(self):
@@ -109,7 +108,6 @@ class ComputeCache:
         self.add: dict = {}
         self.mult: dict = {}
         self.prob: dict = {}
-        self.split: dict = {}
         self.branch: dict = {}
         self.gates: dict = {}
         self.chain: list[tuple] = []

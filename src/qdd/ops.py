@@ -9,12 +9,13 @@ with sub-products and sub-sums memoized in the universe's compute cache.
 Cache keys factor the operands' top weights out (multiply) or down to a
 single weight ratio (add); both are exact rewrites, and they make the
 memoization hit on shared structure instead of on per-path weight
-products. Measurement works on node probabilities
+products. Measurement multiplies the state with the projector onto an
+outcome; the outcome's probability is the projection's squared norm,
+read from node probabilities
 
     p(node) = |w_l|^2 * p(left) + |w_r|^2 * p(right),   p(terminal) = 1,
 
-collapses by multiplying the state with the projector onto the observed
-outcome, and renormalizes through the root edge weight.
+and the kept projection is renormalized through its root edge weight.
 """
 
 from __future__ import annotations
@@ -198,88 +199,39 @@ def node_probability(uni: Universe, node) -> float:
 
 
 def norm_squared(uni: Universe, v: Edge) -> float:
-    """Total probability mass of the state (1 for a normalized state)."""
-    return magnitude_squared(v.w) * node_probability(uni, v.node)
+    """Total probability mass of the state (1 for a normalized state),
+    read through the prob memo; ``v`` may be a (weight, node) pair."""
+    w, node = v
+    return magnitude_squared(w) * (uni.cache.prob.get(node)
+                                   or node_probability(uni, node))
 
 
 def qubit_probabilities(uni: Universe, v: Edge) -> tuple[float, float]:
     """(P(root qubit -> 0), P(root qubit -> 1)), root weight included."""
     if v.node is TERMINAL:
         raise ValueError("state has no qubits to measure")
-    return _split(uni, v, 0)
+    return (norm_squared(uni, _project(uni, v, 0, 0)),
+            norm_squared(uni, _project(uni, v, 0, 1)))
 
 
-def _check_prob_sum(p0: float, p1: float) -> None:
-    dev = abs(p0 + p1 - 1.0)
-    if dev > PROB_TOL:
-        raise NormDriftError(
-            f"measurement probabilities sum to {p0 + p1!r}", deviation=dev)
-
-
-def _pick(rng, p0: float, p1: float) -> tuple[int, float]:
-    outcome = 0 if rng.random() < p0 else 1
-    p = p0 if outcome == 0 else p1
-    if p <= 0.0:
-        raise NormDriftError("collapse branch has zero probability",
-                             deviation=abs(p0 + p1 - 1.0))
-    return outcome, p
-
-
-def _collapse(uni: Universe, v: Edge, q: int, outcome: int, prob: float) -> Edge:
-    """Multiply the state by the projector |outcome><outcome| on qubit q,
-    renormalize.
+def _project(uni: Universe, v: Edge, q: int, o: int) -> tuple:
+    """P_o v, unnormalized: the state times the projector |o><o| on qubit
+    q, as a pair; P(o) is its squared norm.
 
     The projector ends at qubit q, so multiply passes the qubits below it
     through on the identity chain and memoizes each rebuilt node in the
     mult cache under (projector node, state node): a later shot that
-    measures the same state again pays a lookup.
+    measures the same state again pays a lookup. Onto a certain outcome
+    every rebuilt node is a unique-table hit, so the projection is v
+    itself; onto an impossible one it is the zero edge.
     """
     height = v.node.height - q
     link = uni.identity_chain(height)[height]
     z = uni.zero_edge
     # its one nonzero weight is the interned 1, so the key is canonical
-    proj = uni._unique(height, (link, z, z, z) if outcome == 0
-                       else (z, z, z, link))
+    proj = uni._unique(height, (link, z, z, z) if o == 0 else (z, z, z, link))
     cw, cn = _mul_nodes(uni, proj, v.node)
-    ct = uni.ctab
-    scale = ct.intern(1.0 / math.sqrt(prob))
-    w = ct.cmul(ct.cmul(v.w, cw), scale)
-    return Edge(*_edge(uni, w, cn))
-
-
-def _split(uni: Universe, v: Edge, q: int) -> tuple[float, float]:
-    """(P(qubit q -> 0), P(qubit q -> 1)) of a non-terminal state.
-
-    Accumulates the squared-magnitude mass reaching each qubit-q node and
-    splits it through the two branches. Memoized per (root node, root
-    weight handle, q).
-    """
-    key = (v.node, v.w, q)
-    hit = uni.cache.split.get(key)
-    if hit is not None:
-        return hit
-    ct = uni.ctab
-    if not 0 <= q <= v.node.height:
-        raise ValueError(
-            f"qubit {q} out of range for {v.node.height + 1} qubits")
-    mass = {v.node: magnitude_squared(v.w)}
-    for _ in range(q):
-        nxt: dict = {}
-        for node, m in mass.items():
-            for w, child in node.succ:
-                if w is not ct.zero:
-                    nxt[child] = (nxt.get(child, 0.0)
-                                  + m * magnitude_squared(w))
-        mass = nxt
-    p0 = p1 = 0.0
-    for node, m in mass.items():
-        (w0, n0), (w1, n1) = node.succ
-        if w0 is not ct.zero:
-            p0 += m * magnitude_squared(w0) * node_probability(uni, n0)
-        if w1 is not ct.zero:
-            p1 += m * magnitude_squared(w1) * node_probability(uni, n1)
-    uni.cache.split[key] = (p0, p1)
-    return p0, p1
+    return _edge(uni, uni.ctab.cmul(v.w, cw), cn)
 
 
 def measure_top(uni: Universe, v: Edge, rng) -> tuple[int, Edge]:
@@ -289,23 +241,40 @@ def measure_top(uni: Universe, v: Edge, rng) -> tuple[int, Edge]:
     when the draw falls below P(0). Raises NormDriftError when the two
     probabilities stop summing to 1 within tolerance.
     """
-    if v.node is TERMINAL:
-        raise ValueError("state has no qubits to measure")
     return measure_qubit(uni, v, 0, rng)
 
 
 def measure_qubit(uni: Universe, v: Edge, q: int, rng) -> tuple[int, Edge]:
     """Measure qubit q anywhere in the diagram, without SWAP gates.
 
-    Splits the probability mass at qubit q, draws the outcome like
-    measure_top, then collapses and renormalizes.
+    Projects the state onto outcome 0 and draws against that
+    projection's squared norm like measure_top; the projection onto 1 is
+    built only when 1 is drawn. The projected state is renormalized by
+    its own norm.
     """
     if v.node is TERMINAL:
         raise ValueError("state has no qubits to measure")
-    p0, p1 = _split(uni, v, q)
-    _check_prob_sum(p0, p1)
-    outcome, p = _pick(rng, p0, p1)
-    return outcome, _collapse(uni, v, q, outcome, p)
+    if not 0 <= q <= v.node.height:
+        raise ValueError(
+            f"qubit {q} out of range for {v.node.height + 1} qubits")
+    total = norm_squared(uni, v)
+    dev = abs(total - 1.0)
+    if dev > PROB_TOL:
+        raise NormDriftError(
+            f"measurement probabilities sum to {total!r}", deviation=dev)
+    pv = _project(uni, v, q, 0)
+    p = norm_squared(uni, pv)
+    outcome = 0 if rng.random() < p else 1
+    if outcome:
+        pv = _project(uni, v, q, 1)
+        p = norm_squared(uni, pv)
+        if p <= 0.0:
+            raise NormDriftError("collapse branch has zero probability",
+                                 deviation=dev)
+    ct = uni.ctab
+    w, node = pv
+    w = ct.cmul(w, ct.intern(1.0 / math.sqrt(p)))
+    return outcome, Edge(*_edge(uni, w, node))
 
 
 def measure_all(uni: Universe, v: Edge, rng) -> str:
@@ -316,15 +285,14 @@ def measure_all(uni: Universe, v: Edge, rng) -> str:
     branch masses over the node probability, memoized per node in the
     compute cache. One uniform draw per qubit.
     """
-    node = v.node
-    prob = uni.cache.prob.get(node) or node_probability(uni, node)
-    total = magnitude_squared(v.w) * prob
+    total = norm_squared(uni, v)
     dev = abs(total - 1.0)
     if dev > PROB_TOL:
         raise NormDriftError(f"state norm is {total!r}", deviation=dev)
     zero = uni.ctab.zero
     branch = uni.cache.branch
     bits: list[str] = []
+    node = v.node
     while node is not TERMINAL:
         (w0, n0), (w1, n1) = node.succ
         p0_share = branch.get(node)

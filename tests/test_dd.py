@@ -404,12 +404,11 @@ class TestGc:
         b = uni.build_vector([0.5, -0.5, 0.5, -0.5])
         add(uni, a, b)
         measure_qubit(uni, a, 1, random.Random(0))
-        assert uni.cache.add and uni.cache.mult and uni.cache.split
+        assert uni.cache.add and uni.cache.mult
         uni.gc_collect([a, b])
         assert not uni.cache.add
         assert not uni.cache.mult
         assert not uni.cache.prob
-        assert not uni.cache.split
 
 
 class TestDot:

@@ -309,14 +309,16 @@ class TestMeasureQubit:
             assert outcome == int(want[1])
 
     def test_conditional_against_dense(self, uni):
-        import qdd.ops
         ct = uni.ctab
         rng = np.random.default_rng(31)
-        for n in (3, 5, 8, 1):
+        # the 0.999 pass comes second, so the 0.37 pass draws as before
+        for draw, n in [(d, n) for d in (0.37, 0.999) for n in (3, 5, 8, 1)]:
             a = random_state(rng, n)
             v = uni.build_vector(list(a))
             q = int(rng.integers(n))
-            outcome, post = measure_qubit(uni, v, q, Forced(0.37))
+            outcome, post = measure_qubit(uni, v, q, Forced(draw))
+            if draw > 0.5:
+                assert outcome == 1  # every state drawn here has P(0) < 0.999
             shift = n - 1 - q
             mask = np.array([(i >> shift) & 1 == outcome for i in range(1 << n)])
             want = np.where(mask, a, 0)
@@ -327,9 +329,9 @@ class TestMeasureQubit:
             assert np.max(np.abs(got - want)) < 1e-9
             assert_valid_state(uni, post)
             # edge for edge, the post-state is the projector product scaled
-            # by 1/sqrt(p)
+            # by 1/sqrt(p), p that product's own squared norm
             m = multiply(uni, uni.build_matrix(np.diag(mask.astype(float))), v)
-            p = qdd.ops._split(uni, v, q)[outcome]
+            p = norm_squared(uni, m)
             assert post.node is m.node
             assert post.w is ct.cmul(m.w, ct.intern(1 / math.sqrt(p)))
 
@@ -370,6 +372,29 @@ class TestCollapseMemo:
                                  Forced(draw))
             assert again[0] == want[0] == (draw > 0.5)
             assert _by_value(again[1]) == _by_value(want[1])
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_certain_outcome_returns_the_state(self, uni, n):
+        rng = random.Random(n)
+        states = [(uni.basis_state(n, bits), bits) for bits in (
+            "0" * n, "1" * n, "".join(rng.choice("01") for _ in range(n)))]
+        ghz = uni.build_vector([S] + [0] * ((1 << n) - 2) + [S])
+        for draw, bit in ((0.0, "0"), (0.9999999, "1")):
+            states.append((measure_qubit(uni, ghz, 0, Forced(draw))[1],
+                           bit * n))
+        # the first pass files the projectors; the second, with the mult
+        # memo dropped, rebuilds every projection from unique-table hits
+        for checked in (False, True):
+            for v, bits in states:
+                for q in range(n):
+                    for draw in (0.0, 0.9999999):
+                        uni.cache.mult.clear()
+                        before = uni.live_nodes
+                        outcome, post = measure_qubit(uni, v, q, Forced(draw))
+                        assert outcome == int(bits[q])
+                        assert post.node is v.node
+                        if checked:
+                            assert uni.live_nodes == before
 
     def test_gc_drops_the_memo(self, uni):
         v = uni.build_vector(list(random_state(np.random.default_rng(42), 6)))
