@@ -18,7 +18,10 @@ measurement), each at the default GC threshold and at 20; five
 unstructured 10-qubit, 300-gate H/T/CX circuits, each at both
 thresholds, three of which exit 3 with a NormDriftError; two
 11-qubit repetition-code syndrome circuits, whose mid-circuit outcomes
-are random or certain (0 or 1), each at both thresholds;
+are random or certain (0 or 1), each at both thresholds; one 7-qubit
+circuit whose mid-circuit outcomes are certain on the top, a middle and
+the bottom qubit, with superposed qubits around them, at both
+thresholds;
 ``--dump-state`` with no, trailing and mid-circuit measurement;
 ``dot``, ``dot --gate``, four ``bench`` runs and one bad input. Exits 1
 if any call ends in a traceback or an undocumented exit code.
@@ -38,6 +41,8 @@ SINGLE = ("x", "y", "z", "h", "s", "sdg", "t", "tdg")
 CLIFFORD_T = ((1, 0), (1, 1), (23, 2), (34, 0), (40, 0))
 # seeds of syndrome_circuit: H on data qubit 2, then 4
 SYNDROME = (1, 3)
+# seed of certain_circuit: qubit 6 reads 1
+CERTAIN = 5
 
 
 def key_pattern(keys) -> re.Pattern:
@@ -112,6 +117,33 @@ def syndrome_circuit(seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def certain_circuit(seed: int) -> str:
+    """Mid-circuit measurements that are certain on the top (0), a middle
+    (3) and the bottom (6) qubit of 7, each the parity of a Bell pair on
+    superposed qubits around it: (1, 2) with parity 0 and (4, 5) with
+    parity 1, dressed with drawn diagonal gates and paired X, which keep
+    the parities. Qubit 0 reads 1, qubit 3 reads 0 and qubit 6 a drawn
+    value; then a random measurement, more gates and measure_all."""
+    rng = random.Random(f"certain/{seed}")
+    lines = ["qubits 7", "h 1", "cx 1 2", "h 4", "cx 4 5", "x 5"]
+    for _ in range(12):
+        pair = rng.choice(((1, 2), (4, 5)))
+        kind = rng.randrange(4)
+        if kind == 0:
+            lines += [f"x {pair[0]}", f"x {pair[1]}"]
+        elif kind == 1:
+            lines.append(f"p {rng.uniform(-3.2, 3.2)!r} {rng.choice(pair)}")
+        else:
+            lines.append(f"{rng.choice(('t', 's', 'z'))} {rng.choice(pair)}")
+    lines += ["cx 4 0", "cx 5 0", "measure 0",
+              "cx 1 3", "cx 2 3", "measure 3"]
+    for pair in ((1, 2), (4, 5))[:rng.randint(1, 2)]:
+        lines += [f"cx {pair[0]} 6", f"cx {pair[1]} 6"]
+    lines += ["measure 6", "h 6", "measure 1", "cx 1 3", "t 3", "h 0",
+              "measure_all"]
+    return "\n".join(lines) + "\n"
+
+
 def invocations() -> list[list[str]]:
     calls = []
     for seed in range(12):
@@ -125,6 +157,8 @@ def invocations() -> list[list[str]]:
     for seed in SYNDROME:
         run = ["run", f"syn{seed}.qdd", "--seed", str(seed), "--shots", "20"]
         calls += [run, run + ["--gc-threshold", "20"]]
+    run = ["run", "certain.qdd", "--seed", "2", "--shots", "20"]
+    calls += [run, run + ["--gc-threshold", "20"]]
     calls += [
         ["run", "rand00.qdd", "--dump-state"],
         ["run", "rand01.qdd", "--dump-state"],
@@ -161,6 +195,8 @@ def main() -> int:
         for seed in SYNDROME:
             with open(os.path.join(tmp, f"syn{seed}.qdd"), "w") as f:
                 f.write(syndrome_circuit(seed))
+        with open(os.path.join(tmp, "certain.qdd"), "w") as f:
+            f.write(certain_circuit(CERTAIN))
         with open(os.path.join(tmp, "bad.qdd"), "w") as f:
             f.write("qubits 2\nh 0\ncx 0 5\n")
         for args in invocations():

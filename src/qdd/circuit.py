@@ -22,7 +22,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .gates import GateKind, GateSpec
+from .gates import GateKind, GateSpec, _qubit_index
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,9 @@ class GateOp:
 @dataclass(frozen=True)
 class MeasureOp:
     qubit: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "qubit", _qubit_index(self.qubit))
 
 
 @dataclass(frozen=True)

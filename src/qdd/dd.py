@@ -60,15 +60,18 @@ class Node:
     """A nonterminal: its height and successors, two for a vector node
     (e0, e1) and four for a matrix node (e00, e01, e10, e11). ``succ``
     holds them as (weight, node) pairs, the node's unique-table key;
-    ``edges`` returns them as Edge views."""
+    ``edges`` returns them as Edge views. ``size`` and ``levels`` memoize
+    count_nodes and qdd.ops._levels; a node's successors never change, so
+    neither memo goes stale."""
 
-    __slots__ = ("height", "succ", "idx", "size")
+    __slots__ = ("height", "succ", "idx", "size", "levels")
 
     def __init__(self, height: int, succ: tuple[tuple, ...], idx: int):
         self.height = height
         self.succ = succ
         self.idx = idx
         self.size = 0  # count_nodes memo; 0 until first counted
+        self.levels = None  # _levels memo; None until first asked
 
     @property
     def edges(self) -> tuple["Edge", ...]:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -47,6 +48,14 @@ class GateKind(Enum):
 _PARAMLESS = frozenset(k for k in GateKind if k not in (GateKind.PHASE, GateKind.RK))
 
 
+def _qubit_index(q) -> int:
+    """q as a plain int (numpy integers included); ValueError otherwise."""
+    try:
+        return operator.index(q)
+    except TypeError:
+        raise ValueError(f"qubit index {q!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class GateSpec:
     """One gate application: kind, target qubit, positive controls."""
@@ -57,7 +66,9 @@ class GateSpec:
     param: float | int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "controls", frozenset(self.controls))
+        object.__setattr__(self, "target", _qubit_index(self.target))
+        object.__setattr__(self, "controls",
+                           frozenset(map(_qubit_index, self.controls)))
         if self.target in self.controls:
             raise ValueError(f"target {self.target} is also a control")
         if self.kind in _PARAMLESS:

@@ -16,6 +16,9 @@ read from node probabilities
     p(node) = |w_l|^2 * p(left) + |w_r|^2 * p(right),   p(terminal) = 1,
 
 and the kept projection is renormalized through its root edge weight.
+Each vector node memoizes at which heights below it a |0> and a |1>
+successor is nonzero, so a projection onto a certain or an impossible
+outcome returns the state or the zero edge without a walk.
 """
 
 from __future__ import annotations
@@ -214,18 +217,52 @@ def qubit_probabilities(uni: Universe, v: Edge) -> tuple[float, float]:
             norm_squared(uni, _project(uni, v, 0, 1)))
 
 
+def _levels(uni: Universe, node) -> tuple[int, int]:
+    """(zeros, ones): bit h of zeros is set when some node at height h
+    under the vector node ``node``, itself included, has a nonzero |0>
+    successor; ones likewise for |1>. Every nonzero path visits every
+    height, so a clear bit means no amplitude takes that value on that
+    qubit. Memoized in ``Node.levels``; (0, 0) for the terminal."""
+    if node is TERMINAL:
+        return 0, 0
+    got = node.levels
+    if got is not None:
+        return got
+    zero = uni.ctab.zero
+    bit = 1 << node.height
+    zeros = ones = 0
+    (w0, n0), (w1, n1) = node.succ
+    if w0 is not zero:
+        zeros, ones = _levels(uni, n0)
+        zeros |= bit
+    if w1 is not zero:
+        z, o = _levels(uni, n1)
+        zeros |= z
+        ones |= o | bit
+    got = node.levels = zeros, ones
+    return got
+
+
 def _project(uni: Universe, v: Edge, q: int, o: int) -> tuple:
     """P_o v, unnormalized: the state times the projector |o><o| on qubit
     q, as a pair; P(o) is its squared norm.
 
-    The projector ends at qubit q, so multiply passes the qubits below it
-    through on the identity chain and memoizes each rebuilt node in the
-    mult cache under (projector node, state node): a later shot that
-    measures the same state again pays a lookup. Onto a certain outcome
-    every rebuilt node is a unique-table hit, so the projection is v
-    itself; onto an impossible one it is the zero edge.
+    The state's level masks (_levels) answer a certain or impossible
+    outcome without a walk: onto an impossible outcome the projection is
+    the zero edge, onto a certain one it is v itself, exactly what the
+    product gives (every node it rebuilds is a unique-table hit). Only a
+    random outcome builds the product. The projector ends at qubit q, so
+    multiply passes the qubits below it through on the identity chain and
+    memoizes each rebuilt node in the mult cache under (projector node,
+    state node): a later shot that measures the same state again pays a
+    lookup.
     """
     height = v.node.height - q
+    levels = _levels(uni, v.node)
+    if not levels[o] >> height & 1:
+        return uni.zero_edge
+    if not levels[1 - o] >> height & 1:
+        return v
     link = uni.identity_chain(height)[height]
     z = uni.zero_edge
     # its one nonzero weight is the interned 1, so the key is canonical

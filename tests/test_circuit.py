@@ -170,6 +170,18 @@ class TestCircuitValidation:
         with pytest.raises(ValueError):
             Circuit(2, (MeasureOp(5),))
 
+    @pytest.mark.parametrize("qubit", [1.0, 0.5, "1", None])
+    def test_rejects_non_integer_measure(self, qubit):
+        with pytest.raises(ValueError, match="not an integer"):
+            MeasureOp(qubit)
+
+    def test_float_qubit_fails_at_construction_not_in_sample(self):
+        # a float index used to reach qdd.sample and die there with a
+        # TypeError ("list indices must be integers")
+        with pytest.raises(ValueError):
+            Circuit(2, (GateOp(GateSpec(GateKind.H, 1.0)), MeasureOp(1.0)))
+        assert MeasureOp(np.int64(1)) == MeasureOp(1)
+
     def test_rejects_empty_register(self):
         with pytest.raises(ValueError):
             Circuit(0)

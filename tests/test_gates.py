@@ -76,6 +76,18 @@ class TestGateSpec:
         with pytest.raises(ValueError):
             GateSpec(GateKind.RK, 0, param=1.5)
 
+    @pytest.mark.parametrize("target, controls", [
+        (1.0, ()), (1.5, ()), ("1", ()), (None, ()), (0, (1.0,)), (0, ("2",))])
+    def test_non_integer_qubit_rejected(self, target, controls):
+        with pytest.raises(ValueError, match="not an integer"):
+            GateSpec(GateKind.H, target, frozenset(controls))
+
+    def test_numpy_integer_qubits_become_ints(self):
+        spec = GateSpec(GateKind.X, np.int64(2), {np.int32(0), 1})
+        assert spec == GateSpec(GateKind.X, 2, frozenset({0, 1}))
+        assert type(spec.target) is int
+        assert all(type(c) is int for c in spec.controls)
+
     def test_hashable_for_caching(self):
         a = GateSpec(GateKind.RK, 1, frozenset({0}), param=3)
         b = GateSpec(GateKind.RK, 1, frozenset({0}), param=3)

@@ -9,6 +9,7 @@ from qdd import (GateKind, GateSpec, TERMINAL, Universe, add,
                  build_gate_dd, count_nodes, kron, measure_all, measure_qubit,
                  measure_top, multiply, node_probability, norm_squared,
                  qubit_probabilities, NormDriftError)
+from qdd.ops import _levels
 
 from _util import (assert_interned, assert_valid_state, cyclic_garbage,
                    dd_matrix_to_array, dd_to_array, random_state)
@@ -403,6 +404,100 @@ class TestCollapseMemo:
         _, again = measure_qubit(uni, v, 2, Forced(0.0))
         assert_interned(uni, again)
         assert _by_value(again) == _by_value(first)
+
+
+def _support_states(rng: np.random.Generator, n: int) -> list:
+    """Dense vectors over n qubits with varied supports: random, sparse,
+    basis, GHZ, product and zeroed-half states."""
+    dim = 1 << n
+    rand = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    states = [rand, np.where(rng.random(dim) < 0.2, rand, 0)]
+    for i in (0, dim - 1, int(rng.integers(dim))):
+        states.append(np.eye(dim)[i].astype(complex))
+    states.append(np.where(np.isin(np.arange(dim), (0, dim - 1)), S, 0))
+    singles = ([1, 0], [0, 1], rng.normal(size=2) + 1j * rng.normal(size=2))
+    for _ in range(3):
+        prod = np.ones(1, dtype=complex)
+        for _ in range(n):
+            prod = np.kron(prod, singles[int(rng.integers(3))])
+        states.append(prod)
+    for q in range(n):
+        shift = n - 1 - q
+        bit = np.arange(dim) >> shift & 1
+        for b in (0, 1):
+            states.append(np.where(bit == b, 0, rand))
+    return [a for a in states if np.any(a != 0)]
+
+
+def _fixed_qubit_state(rng: np.random.Generator, n: int, q: int,
+                       value: int) -> np.ndarray:
+    """A random n-qubit state whose qubit q is certainly ``value``, with
+    the other qubits in an entangled superposition."""
+    rest = random_state(rng, n - 1)
+    idx = np.arange(1 << n)
+    shift = n - 1 - q
+    others = (idx >> (shift + 1) << shift) | (idx & ((1 << shift) - 1))
+    return np.where(idx >> shift & 1 == value, rest[others], 0)
+
+
+class TestLevels:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bits_match_the_dense_support(self, uni, n):
+        rng = np.random.default_rng(100 + n)
+        for a in _support_states(rng, n):
+            v = uni.build_vector(list(a))
+            zeros, ones = _levels(uni, v.node)
+            assert v.node.levels == (zeros, ones)
+            for q in range(n):
+                shift = n - 1 - q
+                bit = np.arange(1 << n) >> shift & 1
+                assert bool(zeros >> shift & 1) == bool(np.any(a[bit == 0]))
+                assert bool(ones >> shift & 1) == bool(np.any(a[bit == 1]))
+            assert (zeros | ones) >> n == 0
+
+    def test_terminal(self, uni):
+        assert _levels(uni, TERMINAL) == (0, 0)
+
+    @pytest.mark.parametrize("q", [0, 2, 5])
+    @pytest.mark.parametrize("value", [0, 1])
+    def test_certain_measurement_builds_and_files_nothing(self, q, value):
+        uni = Universe()
+        cache = uni.cache
+        n = 6
+        v = uni.build_vector(list(
+            _fixed_qubit_state(np.random.default_rng(q), n, q, value)))
+        for draw in (0.0, 0.9999999):
+            before = cache.ops_count, len(cache.mult), uni.live_nodes
+            outcome, post = measure_qubit(uni, v, q, Forced(draw))
+            assert outcome == value and post.node is v.node
+            assert (cache.ops_count, len(cache.mult),
+                    uni.live_nodes) == before
+        # a random outcome still builds and files its projection
+        before = cache.ops_count, len(cache.mult), uni.live_nodes
+        measure_qubit(uni, v, 3 if q < 3 else 1, Forced(0.5))
+        after = cache.ops_count, len(cache.mult), uni.live_nodes
+        assert all(x > y for x, y in zip(after, before))
+
+    @pytest.mark.parametrize("q", [0, 2, 4])
+    @pytest.mark.parametrize("value", [0, 1])
+    def test_certain_post_state_is_the_scaled_projection(self, uni, q, value):
+        ct = uni.ctab
+        n = 5
+        a = _fixed_qubit_state(np.random.default_rng(10 + q), n, q, value)
+        v = uni.build_vector(list(a))
+        shift = n - 1 - q
+        for draw in (0.0, 0.5, 0.9999999):
+            outcome, post = measure_qubit(uni, v, q, Forced(draw))
+            assert outcome == value
+            # edge for edge, as in the walk: the projector product scaled
+            # by 1/sqrt(p), p that product's own squared norm
+            mask = np.arange(1 << n) >> shift & 1 == outcome
+            m = multiply(uni, uni.build_matrix(np.diag(mask.astype(float))), v)
+            p = norm_squared(uni, m)
+            assert post.node is m.node is v.node
+            assert post.w is ct.cmul(m.w, ct.intern(1 / math.sqrt(p)))
+            assert np.max(np.abs(dd_to_array(uni, post, n) - a)) < 1e-9
+            assert_valid_state(uni, post)
 
 
 class TestMeasureAll:
