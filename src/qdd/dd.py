@@ -24,14 +24,22 @@ normalizes both kinds:
 
 * structurally identical nodes are shared through one unique table (a
   node with two equal successors is therefore stored once and shared,
-  never skipped; every nonzero path visits every height);
+  never skipped; in a vector or a full operator every nonzero path
+  visits every height);
 * per node, the first successor edge with a nonzero weight carries weight
   exactly the interned 1; the common factor moves to the incoming edge;
 * an all-zero sub-block is the universe's one zero edge (weight 0,
   straight to the terminal), never a node.
 
+The engine's gate diagrams and measurement projectors are the one
+exception: Universe._make_gate_node builds their nodes, whose edges skip
+every height the operator leaves alone (an edge to a lower node is the
+identity on the heights between, (w, TERMINAL) is w times the identity
+on every qubit below). They feed qdd.ops.multiply only; add, kron and
+read_matrix_entry take full diagrams.
+
 A Universe owns the unique table, the complex table, the operation
-caches and the identity chain that gate diagrams share. It is
+caches and the identity chain that full operators share. It is
 single-owner: one simulation, one thread. Edges are only meaningful
 within the universe that created them.
 """
@@ -123,9 +131,10 @@ class Universe:
     gc_collect drops, so that no swept node is reused) and the shared zero
     edge. Nodes are keyed by their edge tuple alone (a pair for a vector
     node, a 4-tuple for a matrix node), so both kinds share the table
-    without colliding; its size is the live node count. All diagram
-    construction goes through _make_node (or its shortcut
-    _make_diagonal_node), the pair core of make_node, which normalizes
+    without colliding, except the engine's gate nodes, keyed by (height,
+    edges); its size is the live node count. All diagram construction
+    goes through _make_node (or its shortcut _make_diagonal_node), the
+    pair core of make_node, or through _make_gate_node; each normalizes
     and deduplicates.
     """
 
@@ -190,6 +199,38 @@ class Universe:
         if d is None:
             return zero_edge
         return d, self._unique(height + 1, tuple(out))
+
+    def _make_gate_node(self, height: int, edges) -> tuple:
+        """A matrix node at ``height`` over four pairs whose nodes may sit
+        at any lower heights: an edge to a lower node is the identity on
+        every height it skips, and (w, TERMINAL) is w times the identity
+        on every qubit below. Normalized like _make_node, and keyed by
+        (height, edges), since the edges alone do not fix the height;
+        (x, zero, zero, x), the identity on this height, reduces to x."""
+        zero = self.ctab.zero
+        e00, e01, e10, e11 = edges
+        if e01[0] is zero and e10[0] is zero and e00 == e11:
+            return e00
+        cdiv = self.ctab.cdiv
+        zero_edge = self.zero_edge
+        d = None
+        out = []
+        for w, node in edges:
+            if w is zero:
+                out.append(zero_edge)
+            elif d is None:
+                d = w
+                out.append((self.ctab.one, node))
+            else:
+                r = cdiv(w, d)
+                out.append(zero_edge if r is zero else (r, node))
+        succ = tuple(out)
+        key = (height, succ)
+        node = self._table.get(key)
+        if node is None:
+            node = self._table[key] = Node(height, succ, self._node_seq)
+            self._node_seq += 1
+        return d, node
 
     def identity_chain(self, n: int) -> list[tuple]:
         """``chain[h]`` is the identity over h qubits, for every h <= n, and

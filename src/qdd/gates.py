@@ -7,17 +7,22 @@ core set is X/Z/H plus phases.
 
 The engine's gate diagram (_gate_dd) is built bottom-up without ever
 forming a dense matrix, in heights (qubit q at n - 1 - q, see qdd.dd),
-and ends at the gate's top qubit, the highest of target and controls;
-qdd.ops.multiply treats the qubits above as identity. Below the target's
-lowest lower control, each quadrant track of the base matrix is its
-entry times the identity chain the Universe shares; from there up to the
-target the tracks are identity-extended at plain heights and gated into
-e11 at control heights (identity in e00); the target joins them and each
-height above, to the top, adds one node. build_gate_dd adds one per
-height above the top, for the full n-qubit operator: at most 2n nodes
-when no control sits below the target, else at most 4n, as such a height
-can hold the identity and three distinct tracks. For every kind but H a
-zero diagonal or off-diagonal merges or drops one of them, so 3n.
+with one node per involved qubit: every height the gate does not touch
+is skipped (Universe._make_gate_node), so the diagram feeds
+qdd.ops.multiply only. Each quadrant track of the base matrix starts as
+its entry times the identity below, a terminal-bound edge; a control
+below the target gates the tracks into e11 (identity in e00), the target
+joins them, and each control above adds one node. That is at most
+1 + 3 * (controls below the target) + (controls above) nodes whatever n
+is, as a control below holds the two diagonal tracks and one node the
+off-diagonal pair shares.
+
+build_gate_dd derives the full n-qubit operator from that diagram,
+filling every skipped height with identity, so every nonzero path visits
+every height: at most 2n nodes when no control sits below the target,
+else at most 4n, as such a height can hold the identity and three
+distinct tracks. For every kind but H a zero diagonal or off-diagonal
+merges or drops one of them, so 3n.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .cvalue import SQRT2_INV
-from .dd import Edge, Universe
+from .dd import TERMINAL, Edge, Universe
 
 
 class GateKind(Enum):
@@ -116,19 +121,44 @@ def identity_dd(uni: Universe, n: int) -> Edge:
 
 
 def build_gate_dd(uni: Universe, n: int, spec: GateSpec) -> Edge:
-    """n-qubit diagram of a controlled single-qubit gate; memoized until GC."""
+    """n-qubit diagram of a controlled single-qubit gate, one node per
+    height on every path: the engine's diagram with each skipped height
+    filled in by identity. Memoized until GC."""
     key = (n, spec, "full")
     e = uni.cache.gates.get(key)
     if e is None:
         e = _gate_dd(uni, n, spec)
-        for _ in range(e[1].height + 1, n):
-            e = uni._make_diagonal_node(e)
-        uni.cache.gates[key] = e
+        uni.identity_chain(n)
+        e = uni.cache.gates[key] = _full(uni, {}, e, n)
     return Edge(*e)
 
 
+def _full(uni: Universe, memo: dict, e: tuple, h: int) -> tuple:
+    """The pair ``e`` as an operator over the h qubits below it, rebuilt
+    with a node at every height: a terminal-bound edge takes the shared
+    identity chain, and each height a node skips one diagonal node,
+    memoized per (node, height) in ``memo``. The identity chain must
+    reach h."""
+    w, node = e
+    if w is uni.ctab.zero:
+        return e
+    if node is TERMINAL:
+        return w, uni.cache.chain[h][1]
+    got = memo.get((node, h))
+    if got is None:
+        if h == node.height + 1:
+            got = uni._make_node([_full(uni, memo, x, node.height)
+                                  for x in node.succ])
+        else:
+            got = uni._make_diagonal_node(
+                _full(uni, memo, (uni.ctab.one, node), h - 1))
+        memo[node, h] = got
+    return uni.ctab.cmul(w, got[0]), got[1]
+
+
 def _gate_dd(uni: Universe, n: int, spec: GateSpec) -> tuple:
-    """The gate's diagram up to its top qubit, as a (weight, node) pair."""
+    """The engine's gate diagram, one node per involved qubit, as a
+    (weight, node) pair."""
     memo = uni.cache.gates.get((n, spec))
     if memo is not None:
         return memo
@@ -139,33 +169,26 @@ def _gate_dd(uni: Universe, n: int, spec: GateSpec) -> tuple:
             raise ValueError(f"control {c} out of range for n={n}")
     ct = uni.ctab
     zero = uni.zero_edge
-    chain = uni.identity_chain(n)
+    ident = (ct.one, TERMINAL)
     target = n - 1 - spec.target
-    controls = {n - 1 - c for c in spec.controls}
-    # Below the lowest control under the target every height is plain, so
-    # each nonzero quadrant track is its entry times the identity chain.
-    low = min((c for c in controls if c < target), default=target)
+    controls = sorted(n - 1 - c for c in spec.controls)
     tracks = []
     for row in base2x2(spec.kind, spec.param):
         for a in row:
             w = ct.intern(a)
-            tracks.append(zero if w is ct.zero else (w, chain[low][1]))
-    for h in range(low, target):
-        for k, t in enumerate(tracks):
-            if h not in controls:
-                if t[0] is not ct.zero:
-                    tracks[k] = uni._make_diagonal_node(t)
-            # input/output 0 on a control: the gate never fires, so the
-            # diagonal tracks take the identity in e00, the others zero
-            elif k in (0, 3):
-                tracks[k] = uni._make_node((chain[h], zero, zero, t))
-            elif t[0] is not ct.zero:
-                tracks[k] = uni._make_node((zero, zero, zero, t))
-    e = uni._make_node(tracks)
-    for h in range(target + 1, max(controls | {target}) + 1):
-        if h in controls:
-            e = uni._make_node((chain[h], zero, zero, e))
-        else:
-            e = uni._make_diagonal_node(e)
+            tracks.append(zero if w is ct.zero else (w, TERMINAL))
+    # input/output 0 on a control: the gate never fires, so the diagonal
+    # tracks take the identity in e00, the others zero
+    for h in controls:
+        if h < target:
+            for k, t in enumerate(tracks):
+                if k in (0, 3):
+                    tracks[k] = uni._make_gate_node(h, (ident, zero, zero, t))
+                elif t[0] is not ct.zero:
+                    tracks[k] = uni._make_gate_node(h, (zero, zero, zero, t))
+    e = uni._make_gate_node(target, tracks)
+    for h in controls:
+        if h > target:
+            e = uni._make_gate_node(h, (ident, zero, zero, e))
     uni.cache.gates[n, spec] = e
     return e

@@ -126,8 +126,11 @@ def _add(uni: Universe, p: tuple, q: tuple) -> tuple:
 
 def multiply(uni: Universe, u: Edge, v: Edge) -> Edge:
     """Apply the operator u to the state v. A u over fewer qubits acts on
-    v's lowest ones, as identity on the qubits above its top (the
-    engine's gate diagrams end there); a u over more raises ValueError."""
+    v's lowest ones, as identity on the qubits above its top; u's edges
+    may skip heights, each an identity on the qubits it skips, and
+    (w, TERMINAL) is w times the identity on every qubit below (the
+    engine's gate diagrams, see qdd.gates). A u over more qubits than v
+    raises ValueError."""
     ct = uni.ctab
     (uw, un), (vw, vn) = u, v
     if uw is ct.zero or vw is ct.zero:
@@ -251,11 +254,12 @@ def _project(uni: Universe, v: Edge, q: int, o: int) -> tuple:
     outcome without a walk: onto an impossible outcome the projection is
     the zero edge, onto a certain one it is v itself, exactly what the
     product gives (every node it rebuilds is a unique-table hit). Only a
-    random outcome builds the product. The projector ends at qubit q, so
-    multiply passes the qubits below it through on the identity chain and
-    memoizes each rebuilt node in the mult cache under (projector node,
-    state node): a later shot that measures the same state again pays a
-    lookup.
+    random outcome builds the product. The projector is one node, at
+    qubit q, whose terminal-bound link is the identity on the qubits
+    below (see Universe._make_gate_node), so multiply passes them through
+    and memoizes each rebuilt node in the mult cache under (projector
+    node, state node): a later shot that measures the same state again
+    pays a lookup.
     """
     height = v.node.height - q
     levels = _levels(uni, v.node)
@@ -263,10 +267,10 @@ def _project(uni: Universe, v: Edge, q: int, o: int) -> tuple:
         return uni.zero_edge
     if not levels[1 - o] >> height & 1:
         return v
-    link = uni.identity_chain(height)[height]
+    link = (uni.ctab.one, TERMINAL)
     z = uni.zero_edge
-    # its one nonzero weight is the interned 1, so the key is canonical
-    proj = uni._unique(height, (link, z, z, z) if o == 0 else (z, z, z, link))
+    proj = uni._make_gate_node(
+        height, (link, z, z, z) if o == 0 else (z, z, z, link))[1]
     cw, cn = _mul_nodes(uni, proj, v.node)
     return _edge(uni, uni.ctab.cmul(v.w, cw), cn)
 

@@ -171,8 +171,9 @@ class TestGateDDCache:
         assert a == b and len(cache) == 1
 
     def test_warm_build_constructs_nothing_until_gc(self, monkeypatch):
-        # the second spec's top qubit is 2, so its full-width build extends
-        # the engine's diagram by two heights, which must be memoized too
+        # the full-width build fills in the heights the engine's diagram
+        # skips (and, for the second spec, the two above its top qubit);
+        # that expansion must be memoized too
         for spec in (GateSpec(GateKind.X, 2, frozenset({0, 4})),
                      GateSpec(GateKind.H, 3, frozenset({2}))):
             uni = Universe()
@@ -183,6 +184,7 @@ class TestGateDDCache:
                 raise AssertionError("warm gate build constructed a node")
             monkeypatch.setattr(uni, "_make_node", no_build)
             monkeypatch.setattr(uni, "_make_diagonal_node", no_build)
+            monkeypatch.setattr(uni, "_make_gate_node", no_build)
             warm = build_gate_dd(uni, 5, spec)
             assert warm.w is cold.w and warm.node is cold.node
             assert gate_dd_for(uni, 5, spec, {}) == cold_core
@@ -197,8 +199,8 @@ class TestGateDDCache:
         uni = Universe()
         gate = gate_dd_for(uni, 48, GateSpec(GateKind.H, 47), {})
         assert gate.node.height == 0
-        chain_nodes = len(uni.cache.chain) - 1  # chain[0] is the terminal
-        assert uni.live_nodes - chain_nodes <= 2
+        # one node, and no identity chain below it
+        assert uni.live_nodes == 1 and uni.cache.chain == []
         top = GateSpec(GateKind.X, 40, frozenset({9, 45}))
         assert gate_dd_for(uni, 48, top, {}).node.height == 48 - 1 - 9
 
@@ -253,10 +255,10 @@ class TestGc:
             return collect(uni, roots)
         monkeypatch.setattr(Universe, "gc_collect", counted)
         c = gen_qft(16, "10" * 8)
-        _, low = run(c, EngineConfig(gc_threshold=1360))
-        _, default = run(c)  # never collects
+        _, low = run(c, EngineConfig(gc_threshold=840))
+        _, default = run(c)  # never collects; its table peaks at 1,208
         assert 1 <= len(collections) <= 4
-        assert low.peak_unique_nodes < 1450
+        assert low.peak_unique_nodes < 900
         for s in (low, default):
             s.wall_time_ms = s.peak_unique_nodes = 0
         assert low == default
@@ -430,11 +432,20 @@ class TestPublicEdgeView:
             build_gate_dd(uni, 5, spec)
         uni.build_vector([0.5, 0, 0.5j, 0, 0, -0.5, 0, 0.5])
         assert uni.live_nodes > 0
+        # an engine gate node's edges may skip heights, so its key is
+        # (height, edges); every other node's key is its edges
+        kinds = set()
         for key, node in uni._table.items():
             view = node.edges
             assert all(type(e) is Edge for e in view)
+            if type(key[0]) is int:
+                kinds.add("gate")
+                view = (node.height, view)
+            else:
+                kinds.add("full")
             assert view == key and hash(view) == hash(key)
             assert uni._table[view] is node
+        assert kinds == {"gate", "full"}
 
     def test_replay_walk_counts_what_count_nodes_counts(self):
         uni = Universe()

@@ -6,8 +6,8 @@ import pytest
 
 import qdd.dense as dense
 from qdd import (TERMINAL, GateKind, GateSpec, Universe, base2x2,
-                 build_gate_dd, count_nodes, identity_dd, multiply,
-                 norm_squared)
+                 build_gate_dd, count_nodes, gate_dd_for, identity_dd,
+                 multiply, norm_squared)
 
 from _util import (assert_interned, dd_matrix_to_array, dd_to_array,
                    random_gate_spec, random_state)
@@ -269,3 +269,129 @@ class TestIdentityDD:
                 again = uni.make_node(*node.edges)
                 assert again.node is node and again.w is uni.ctab.one
                 stack.extend(x.node for x in node.edges)
+
+
+def sided_gate_spec(rng: np.random.Generator, n: int) -> GateSpec:
+    """A random gate with 0-3 controls above its target and 0-3 below."""
+    spec = random_gate_spec(rng, n)
+    above = list(range(spec.target))
+    below = list(range(spec.target + 1, n))
+    controls = set()
+    for side in (above, below):
+        rng.shuffle(side)
+        controls.update(side[:int(rng.integers(0, min(3, len(side)) + 1))])
+    return GateSpec(spec.kind, spec.target, frozenset(controls), spec.param)
+
+
+class TestEngineGateDD:
+    """The engine's gate diagram: one node per involved qubit, whose edges
+    skip the heights the gate does not touch."""
+
+    def test_multiply_matches_the_full_diagram(self, uni):
+        # same Edge, same recursion count: a skipped height costs multiply
+        # what the full diagram's diagonal node there cost
+        rng = np.random.default_rng(51)
+        placements = set()
+        for _ in range(300):
+            n = int(rng.integers(1, 8))
+            spec = sided_gate_spec(rng, n)
+            placements.add((any(c < spec.target for c in spec.controls),
+                            any(c > spec.target for c in spec.controls)))
+            v = uni.build_vector(list(random_state(rng, n)))
+            got = []
+            for gate in (gate_dd_for(uni, n, spec, {}),
+                         build_gate_dd(uni, n, spec)):
+                uni.cache.mult.clear()
+                uni.cache.add.clear()
+                uni.cache.ops_count = 0
+                e = multiply(uni, gate, v)
+                got.append((e.w, e.node, uni.cache.ops_count))
+            (aw, an, a_ops), (bw, bn, b_ops) = got
+            assert aw is bw and an is bn and a_ops == b_ops
+        assert len(placements) == 4
+
+    def test_full_diagram_is_the_dense_gate(self, uni):
+        rng = np.random.default_rng(52)
+        for _ in range(60):
+            n = int(rng.integers(1, 8))
+            spec = sided_gate_spec(rng, n)
+            e = build_gate_dd(uni, n, spec)
+            got = dd_matrix_to_array(uni, e, n)
+            assert np.max(np.abs(got - dense.controlled_gate(n, spec))) < 1e-12
+            assert e == uni.build_matrix(dense.controlled_gate(n, spec))
+
+    @pytest.mark.parametrize("n", [8, 48, 300])
+    def test_node_count_does_not_grow_with_n(self, uni, n):
+        rng = np.random.default_rng(53)
+        for _ in range(40):
+            spec = sided_gate_spec(rng, 8)
+            spec = GateSpec(spec.kind, spec.target * (n // 8),
+                            frozenset(c * (n // 8) for c in spec.controls),
+                            spec.param)
+            below = sum(c > spec.target for c in spec.controls)
+            above = len(spec.controls) - below
+            gate = gate_dd_for(uni, n, spec, {})
+            assert count_nodes(gate) <= 1 + 3 * below + above
+        for target, control in ((n - 1, 0), (0, n - 1)):
+            cp = GateSpec(GateKind.PHASE, target, frozenset({control}), 0.5)
+            assert count_nodes(gate_dd_for(uni, n, cp, {})) == 2
+
+    def test_height_is_part_of_the_key(self, uni):
+        # X on qubit 2 and on qubit 5 share the edges (0, 1, 1, 0) to the
+        # terminal; only the height tells their nodes apart
+        x2, x5 = (gate_dd_for(uni, 8, GateSpec(GateKind.X, q), {})
+                  for q in (2, 5))
+        assert x2.node.edges == x5.node.edges
+        assert (x2.node.height, x5.node.height) == (5, 2)
+        assert x2.node is not x5.node
+        v = uni.basis_state(8, "0" * 8)
+        assert multiply(uni, x2, v) == uni.basis_state(8, "00100000")
+        assert multiply(uni, x5, v) == uni.basis_state(8, "00000100")
+
+    def test_identity_on_a_height_is_skipped(self, uni):
+        ct = uni.ctab
+        x = (ct.intern(0.5j), TERMINAL)
+        z = uni.zero_edge
+        assert uni._make_gate_node(3, (x, z, z, x)) == x
+        # controls whose e00 and e11 agree add no node: a zero phase is
+        # the identity, and cz's |0> track below its target is too
+        phase0 = GateSpec(GateKind.PHASE, 1, frozenset({0, 4}), 0.0)
+        assert gate_dd_for(uni, 6, phase0, {}) == (ct.one, TERMINAL)
+        cz = gate_dd_for(uni, 6, GateSpec(GateKind.Z, 1, frozenset({4})), {})
+        assert cz.node.edges[0] == (ct.one, TERMINAL)
+        assert count_nodes(cz) == 2
+
+    def test_full_build_makes_each_node_once(self, uni):
+        # the expansion memoizes per (node, height), so every node it asks
+        # for is a new one
+        rng = np.random.default_rng(54)
+        for _ in range(40):
+            n = int(rng.integers(1, 12))
+            spec = sided_gate_spec(rng, n)
+            uni.gc_collect([])
+            identity_dd(uni, n)
+            gate_dd_for(uni, n, spec, {})
+            calls = 0
+
+            def counting(make):
+                def call(*args):
+                    nonlocal calls
+                    calls += 1
+                    return make(*args)
+                return call
+
+            before = uni.live_nodes
+            uni._make_node = counting(uni._make_node)
+            uni._make_diagonal_node = counting(uni._make_diagonal_node)
+            build_gate_dd(uni, n, spec)
+            del uni._make_node, uni._make_diagonal_node
+            assert calls == uni.live_nodes - before
+
+    def test_gate_nodes_are_counted_and_swept(self, uni):
+        spec = GateSpec(GateKind.H, 3, frozenset({0, 6}))
+        gate = gate_dd_for(uni, 8, spec, {})
+        # the target, three tracks at the control below, one control above
+        assert uni.live_nodes == count_nodes(gate) == 5
+        assert uni.gc_collect([gate]) == 0
+        assert uni.gc_collect([]) == 5 and uni.live_nodes == 0
+        assert uni.cache.gates == {}

@@ -383,19 +383,33 @@ class TestCollapseMemo:
         for draw, bit in ((0.0, "0"), (0.9999999, "1")):
             states.append((measure_qubit(uni, ghz, 0, Forced(draw))[1],
                            bit * n))
-        # the first pass files the projectors; the second, with the mult
-        # memo dropped, rebuilds every projection from unique-table hits
-        for checked in (False, True):
-            for v, bits in states:
-                for q in range(n):
-                    for draw in (0.0, 0.9999999):
-                        uni.cache.mult.clear()
-                        before = uni.live_nodes
-                        outcome, post = measure_qubit(uni, v, q, Forced(draw))
-                        assert outcome == int(bits[q])
-                        assert post.node is v.node
-                        if checked:
-                            assert uni.live_nodes == before
+        # every outcome here is certain, so _project answers it from the
+        # state's level masks: it builds no projector and no product, and
+        # the state comes back as it is
+        for v, bits in states:
+            for q in range(n):
+                for draw in (0.0, 0.9999999):
+                    uni.cache.mult.clear()
+                    before = uni._node_seq
+                    outcome, post = measure_qubit(uni, v, q, Forced(draw))
+                    assert outcome == int(bits[q])
+                    assert post.node is v.node
+                    assert uni._node_seq == before
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_random_outcome_rebuilds_from_table_hits(self, uni, n):
+        # a random outcome does build the projection; with the mult memo
+        # dropped, the rebuild finds the projector and every product node
+        # in the unique table, and constructs none
+        v = uni.build_vector(list(random_state(np.random.default_rng(n), n)))
+        for q in range(n):
+            for draw in (0.0, 0.9999999):
+                first = measure_qubit(uni, v, q, Forced(draw))
+                uni.cache.mult.clear()
+                before = uni._node_seq
+                again = measure_qubit(uni, v, q, Forced(draw))
+                assert uni._node_seq == before
+                assert again == first
 
     def test_gc_drops_the_memo(self, uni):
         v = uni.build_vector(list(random_state(np.random.default_rng(42), 6)))
