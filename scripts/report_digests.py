@@ -23,7 +23,9 @@ circuit whose mid-circuit outcomes are certain on the top, a middle and
 the bottom qubit, with superposed qubits around them, at both
 thresholds;
 ``--dump-state`` with no, trailing and mid-circuit measurement;
-``dot``, ``dot --gate``, four ``bench`` runs and one bad input. Exits 1
+``dot``, ``dot --gate`` (also on a 64-qubit circuit: a CX whose control
+sits 60 qubits above its target, and H on the bottom qubit), four
+``bench`` runs and one bad input. Exits 1
 if any call ends in a traceback or an undocumented exit code.
 """
 
@@ -167,6 +169,8 @@ def invocations() -> list[list[str]]:
         ["dot", "rand02.qdd", "--seed", "3"],
         ["dot", "rand01.qdd", "--gate", "7"],
         ["dot", "rand03.qdd", "--gate", "12"],
+        ["dot", "wide.qdd", "--gate", "0"],
+        ["dot", "wide.qdd", "--gate", "1"],
         ["bench", "entangle", "40", "--shots", "10"],
         ["bench", "qft", "12", "--seed", "4", "--shots", "50"],
         ["bench", "qft", "48", "--seed", "1", "--shots", "20"],
@@ -197,6 +201,8 @@ def main() -> int:
                 f.write(syndrome_circuit(seed))
         with open(os.path.join(tmp, "certain.qdd"), "w") as f:
             f.write(certain_circuit(CERTAIN))
+        with open(os.path.join(tmp, "wide.qdd"), "w") as f:
+            f.write("qubits 64\ncx 2 62\nh 63\n")
         with open(os.path.join(tmp, "bad.qdd"), "w") as f:
             f.write("qubits 2\nh 0\ncx 0 5\n")
         for args in invocations():

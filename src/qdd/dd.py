@@ -38,10 +38,9 @@ identity on the heights between, (w, TERMINAL) is w times the identity
 on every qubit below). They feed qdd.ops.multiply only; add, kron and
 read_matrix_entry take full diagrams.
 
-A Universe owns the unique table, the complex table, the operation
-caches and the identity chain that full operators share. It is
-single-owner: one simulation, one thread. Edges are only meaningful
-within the universe that created them.
+A Universe owns the unique table, the complex table and the operation
+caches. It is single-owner: one simulation, one thread. Edges are only
+meaningful within the universe that created them.
 """
 
 from __future__ import annotations
@@ -106,9 +105,9 @@ class ComputeCache:
     Measurement keeps ``prob``, a node's probability mass, and
     ``branch``, a node's measure_all draw threshold; a projection onto an
     outcome is a multiplication, memoized in ``mult``. ``gates`` holds the
-    gate diagrams and ``chain`` identity_chain's. Garbage collection drops
-    the whole cache, these memos included, because a memoized result may
-    name a swept node; only the chain's live prefix stays.
+    gate diagrams and the full operators, identities included. Garbage
+    collection drops the whole cache, these memos included, because a
+    memoized result may name a swept node.
     """
 
     def __init__(self):
@@ -121,7 +120,6 @@ class ComputeCache:
         self.prob: dict = {}
         self.branch: dict = {}
         self.gates: dict = {}
-        self.chain: list[tuple] = []
 
 
 class Universe:
@@ -232,17 +230,6 @@ class Universe:
             self._node_seq += 1
         return d, node
 
-    def identity_chain(self, n: int) -> list[tuple]:
-        """``chain[h]`` is the identity over h qubits, for every h <= n, and
-        ``chain[0]`` the terminal edge, as (weight, node) pairs (identity_dd
-        returns one as an Edge); gc_collect keeps its live prefix."""
-        chain = self.cache.chain
-        if not chain:
-            chain.append((self.ctab.one, TERMINAL))
-        while len(chain) <= n:
-            chain.append(self._make_diagonal_node(chain[-1]))
-        return chain
-
     def make_diagonal_node(self, e: Edge) -> Edge:
         """make_node(e, zero, zero, e) for a nonzero ``e``, where
         cdiv(e.w, e.w) is exactly the interned 1."""
@@ -333,17 +320,13 @@ class Universe:
     def gc_collect(self, roots: Iterable[Edge]) -> int:
         """Drop nodes unreachable from ``roots``; returns the freed count.
 
-        Invalidates the compute cache, gate diagrams included, but keeps
-        the identity chain's live prefix, which multiply passes through.
-        Never called implicitly, so peak statistics stay deterministic.
+        Invalidates the whole compute cache, gate diagrams included. Never
+        called implicitly, so peak statistics stay deterministic.
         """
         live = _reachable(roots)
         before = len(self._table)
         self._table = {k: nd for k, nd in self._table.items() if nd in live}
-        chain = self.cache.chain
         self.cache.clear()
-        self.cache.chain = [e for e in chain
-                            if e[1] is TERMINAL or e[1] in live]
         return before - len(self._table)
 
 

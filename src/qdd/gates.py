@@ -114,46 +114,46 @@ def base2x2(kind: GateKind, param: float | int | None = None):
 
 
 def identity_dd(uni: Universe, n: int) -> Edge:
-    """Identity over n qubits: a chain of n nodes, shared per universe."""
+    """Identity over n qubits: n diagonal nodes, shared per universe."""
+    n = _qubit_index(n)
     if n < 0:
         raise ValueError("qubit count must be nonnegative")
-    return Edge(*uni.identity_chain(n)[n])
+    return Edge(*_full(uni, (uni.ctab.one, TERMINAL), n))
 
 
 def build_gate_dd(uni: Universe, n: int, spec: GateSpec) -> Edge:
     """n-qubit diagram of a controlled single-qubit gate, one node per
     height on every path: the engine's diagram with each skipped height
     filled in by identity. Memoized until GC."""
-    key = (n, spec, "full")
-    e = uni.cache.gates.get(key)
-    if e is None:
-        e = _gate_dd(uni, n, spec)
-        uni.identity_chain(n)
-        e = uni.cache.gates[key] = _full(uni, {}, e, n)
-    return Edge(*e)
+    n = _qubit_index(n)
+    return Edge(*_full(uni, _gate_dd(uni, n, spec), n))
 
 
-def _full(uni: Universe, memo: dict, e: tuple, h: int) -> tuple:
-    """The pair ``e`` as an operator over the h qubits below it, rebuilt
-    with a node at every height: a terminal-bound edge takes the shared
-    identity chain, and each height a node skips one diagonal node,
-    memoized per (node, height) in ``memo``. The identity chain must
-    reach h."""
+def _full(uni: Universe, e: tuple, h: int) -> tuple:
+    """The pair ``e`` as an operator over h qubits, rebuilt with a node
+    at every height: each height between its node and h - 1 takes one
+    diagonal node, built bottom-up in a loop and memoized per (node,
+    height) in the gates cache, the terminal counting as a node at
+    height -1."""
     w, node = e
-    if w is uni.ctab.zero:
+    ct = uni.ctab
+    if w is ct.zero:
         return e
-    if node is TERMINAL:
-        return w, uni.cache.chain[h][1]
+    memo = uni.cache.gates
     got = memo.get((node, h))
     if got is None:
-        if h == node.height + 1:
-            got = uni._make_node([_full(uni, memo, x, node.height)
-                                  for x in node.succ])
-        else:
-            got = uni._make_diagonal_node(
-                _full(uni, memo, (uni.ctab.one, node), h - 1))
-        memo[node, h] = got
-    return uni.ctab.cmul(w, got[0]), got[1]
+        k = node.height + 1
+        got = memo.get((node, k))
+        if got is None:
+            got = memo[node, k] = (
+                (ct.one, TERMINAL) if node is TERMINAL else
+                uni._make_node([_full(uni, x, node.height) for x in node.succ]))
+        while k < h:
+            k += 1
+            below, got = got, memo.get((node, k))
+            if got is None:
+                got = memo[node, k] = uni._make_diagonal_node(below)
+    return ct.cmul(w, got[0]), got[1]
 
 
 def _gate_dd(uni: Universe, n: int, spec: GateSpec) -> tuple:

@@ -27,6 +27,7 @@ import math
 
 from .cvalue import ComplexValue, magnitude_squared
 from .dd import Edge, TERMINAL, Universe
+from .gates import _qubit_index
 
 PROB_TOL = 1e-8
 
@@ -129,8 +130,9 @@ def multiply(uni: Universe, u: Edge, v: Edge) -> Edge:
     v's lowest ones, as identity on the qubits above its top; u's edges
     may skip heights, each an identity on the qubits it skips, and
     (w, TERMINAL) is w times the identity on every qubit below (the
-    engine's gate diagrams, see qdd.gates). A u over more qubits than v
-    raises ValueError."""
+    engine's gate diagrams, see qdd.gates); a node diag(x, x) of a full
+    operator acts as x on the heights below, as a skipped height does. A
+    u over more qubits than v raises ValueError."""
     ct = uni.ctab
     (uw, un), (vw, vn) = u, v
     if uw is ct.zero or vw is ct.zero:
@@ -148,16 +150,20 @@ def _mul_nodes(uni: Universe, un, vn) -> tuple:
                          f"{un.height + 1} vs {vn.height + 1}")
     if un is TERMINAL:
         return ct.one, vn
-    h = un.height + 1
-    if h < len(cache.chain) and cache.chain[h][1] is un:
-        # what the recursion returns: cmul and cdiv by the interned 1
-        # hand their other operand back unchanged
-        return ct.one, vn
     key = (un, vn)
     hit = cache.mult.get(key)
     if hit is not None:
         return hit
     zero = ct.zero
+    u00, u01, u10, u11 = un.succ
+    # diag(x, x) is the identity on its height, so it acts as x on the
+    # heights below, as a height that a gate diagram skips does; x's
+    # weight is the interned 1, the first nonzero weight of a node
+    while u01[0] is zero and u10[0] is zero and u00 == u11:
+        un = u00[1]
+        if un is TERMINAL:
+            return ct.one, vn
+        u00, u01, u10, u11 = un.succ
     parts = []
     if un.height < vn.height:
         # identity on vn's qubit: diag(u, u), both weights the interned 1
@@ -168,7 +174,6 @@ def _mul_nodes(uni: Universe, un, vn) -> tuple:
                 sw, sn = _mul_nodes(uni, un, vnx)
                 parts.append(_edge(uni, ct.cmul(vw, sw), sn))
     else:
-        u00, u01, u10, u11 = un.succ
         for row in ((u00, u01), (u10, u11)):
             acc = uni.zero_edge
             for (uw, unx), (vw, vnx) in zip(row, vn.succ):
@@ -293,6 +298,7 @@ def measure_qubit(uni: Universe, v: Edge, q: int, rng) -> tuple[int, Edge]:
     built only when 1 is drawn. The projected state is renormalized by
     its own norm.
     """
+    q = _qubit_index(q)
     if v.node is TERMINAL:
         raise ValueError("state has no qubits to measure")
     if not 0 <= q <= v.node.height:

@@ -217,9 +217,9 @@ class TestRunCommand:
 
     def test_huge_gate_rendering_rejected_before_allocating(
             self, tmp_path, capsys, monkeypatch):
-        def no_chain(*args):
-            raise AssertionError("identity chain built")
-        monkeypatch.setattr(cli.Universe, "identity_chain", no_chain)
+        def no_build(*args):
+            raise AssertionError("gate diagram built")
+        monkeypatch.setattr(cli, "build_gate_dd", no_build)
         path = write_circuit(tmp_path, HUGE)
         code, out, err = invoke(capsys, "dot", path, "--gate", "0")
         assert code == 2 and out == ""

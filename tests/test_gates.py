@@ -183,8 +183,8 @@ class TestBuildGateDD:
         (0, (1,)), (10, (5, 12, 40)), (20, tuple(range(21, 48))),
     ])
     def test_build_cost_on_warm_universe(self, uni, target, controls):
-        # the identity chain is built once per universe, so a build only
-        # pays for the levels from its lowest lower control up to the root
+        # identity_dd memoizes the identities, so a build only pays for
+        # the levels from its lowest lower control up to the root
         n = 48
         identity_dd(uni, n)
         calls = 0
@@ -207,6 +207,45 @@ class TestBuildGateDD:
             build_gate_dd(uni, 2, GateSpec(GateKind.X, 2))
         with pytest.raises(ValueError):
             build_gate_dd(uni, 2, GateSpec(GateKind.X, 0, frozenset({5})))
+
+    @pytest.mark.parametrize("n", [2.0, "2", None])
+    def test_non_integer_qubit_count_rejected(self, uni, n):
+        spec = GateSpec(GateKind.X, 0)
+        for build in (lambda: build_gate_dd(uni, n, spec),
+                      lambda: identity_dd(uni, n)):
+            with pytest.raises(ValueError, match="not an integer"):
+                build()
+        assert uni.live_nodes == 0
+
+    def test_numpy_integer_qubit_count_accepted(self, uni):
+        spec = GateSpec(GateKind.X, 0)
+        assert build_gate_dd(uni, np.int64(2), spec) == build_gate_dd(
+            uni, 2, spec)
+        assert identity_dd(uni, np.int32(2)) == identity_dd(uni, 2)
+        assert all(type(node.height) is int for node in
+                   (identity_dd(uni, np.int64(3)).node,
+                    build_gate_dd(uni, np.int64(3), spec).node))
+
+    def test_deep_full_builds(self, uni):
+        # the heights a node skips are filled in by a loop, so the build
+        # depth does not grow with them
+        n = 1500
+        assert count_nodes(build_gate_dd(uni, n, GateSpec(GateKind.H, 1499))) == n
+        assert count_nodes(identity_dd(uni, n)) == n
+        assert count_nodes(build_gate_dd(uni, n, GateSpec(GateKind.H, 0))) == n
+        # X on 700, controls 3 and 1400, at heights t, hi above and lo
+        # below: the diagonals above the control node on hi, that node,
+        # the identity over hi qubits (which the lower nodes share), the
+        # diagonals above the target node, the target node, and the
+        # diagonals above the two control-on-lo nodes (|0><0| and |1><1|,
+        # the tracks X's zero diagonal and unit off-diagonal take), and
+        # those nodes
+        t, hi, lo = n - 1 - 700, n - 1 - 3, n - 1 - 1400
+        want = ((n - 1 - hi) + 1 + hi + (hi - 1 - t) + 1
+                + 2 * (t - 1 - lo) + 2)
+        assert want == 3597
+        e = build_gate_dd(uni, n, GateSpec(GateKind.X, 700, frozenset({3, 1400})))
+        assert count_nodes(e) == want
 
 
 class TestGateProperties:

@@ -156,9 +156,10 @@ class TestMultiply:
                 assert multiply(uni, identity_dd(uni, n), v) == v
 
     def test_identity_chain_levels_cost_one_entry(self, uni):
-        # below the target the gate's tracks are the shared identity chain;
-        # each product with a chain node is one recursion entry, not a walk
-        # down to the terminal, also for the chain nodes a GC kept alive
+        # the full gate's identity heights, diag(x, x) nodes above and
+        # below the target, are read off the nodes: each run of them costs
+        # one recursion entry, not a walk down to the terminal, also after
+        # a GC that kept the gate alive
         n = 48
         for target in (0, 5, 20, 47):
             gate = build_gate_dd(uni, n, GateSpec(GateKind.H, target))
@@ -168,6 +169,27 @@ class TestMultiply:
                 multiply(uni, gate, v)
                 assert uni.cache.ops_count <= target + 3
                 uni.gc_collect([gate, v])
+
+    def test_identity_heights_read_off_the_node(self, uni):
+        # no identity_dd or build_gate_dd call before: an identity height
+        # of any full operator, diag(x, x), is recognized by its structure
+        h = dense.controlled_gate(1, GateSpec(GateKind.H, 0))
+        v = uni.basis_state(8, "0" * 8)
+        u = uni.build_matrix(np.kron(h, np.eye(2 ** 7)))
+        uni.cache.ops_count = 0
+        got = multiply(uni, u, v)
+        # H's node, then one entry per row into I over 7 qubits
+        assert uni.cache.ops_count <= 3 and len(uni.cache.mult) <= 1
+        assert got == multiply(uni, build_gate_dd(
+            uni, 8, GateSpec(GateKind.H, 0)), v)
+        low = Universe()
+        u = low.build_matrix(np.kron(np.eye(2 ** 7), h))
+        v = low.basis_state(8, "0" * 8)
+        low.cache.ops_count = 0
+        multiply(low, u, v)
+        # one entry into the identity run and one per state level below
+        # it, as before the identity was read off the node
+        assert low.cache.ops_count == 10
 
     def test_zero_short_circuit(self, uni):
         v = uni.basis_state(2, "01")
@@ -340,6 +362,16 @@ class TestMeasureQubit:
         v = uni.basis_state(2, "00")
         with pytest.raises(ValueError):
             measure_qubit(uni, v, 2, Forced(0.5))
+
+    @pytest.mark.parametrize("q", [1.0, "1", None])
+    def test_non_integer_qubit_rejected(self, uni, q):
+        v = uni.basis_state(2, "01")
+        with pytest.raises(ValueError, match="not an integer"):
+            measure_qubit(uni, v, q, Forced(0.5))
+
+    def test_numpy_integer_qubit_accepted(self, uni):
+        v = uni.basis_state(2, "01")
+        assert measure_qubit(uni, v, np.int64(1), Forced(0.5)) == (1, v)
 
 
 def _by_value(edge):
