@@ -32,11 +32,11 @@ normalizes both kinds:
   straight to the terminal), never a node.
 
 The engine's gate diagrams and measurement projectors are the one
-exception: Universe._make_gate_node builds their nodes, whose edges skip
-every height the operator leaves alone (an edge to a lower node is the
-identity on the heights between, (w, TERMINAL) is w times the identity
-on every qubit below). They feed qdd.ops.multiply only; add, kron and
-read_matrix_entry take full diagrams.
+exception: Universe._make_node, given a node's height, lets its edges
+skip every height the operator leaves alone (an edge to a lower node is
+the identity on the heights between, (w, TERMINAL) is w times the
+identity on every qubit below). They feed qdd.ops.multiply only; add,
+kron and read_matrix_entry take full diagrams.
 
 A Universe owns the unique table, the complex table and the operation
 caches. It is single-owner: one simulation, one thread. Edges are only
@@ -130,10 +130,9 @@ class Universe:
     edge. Nodes are keyed by their edge tuple alone (a pair for a vector
     node, a 4-tuple for a matrix node), so both kinds share the table
     without colliding, except the engine's gate nodes, keyed by (height,
-    edges); its size is the live node count. All diagram construction
-    goes through _make_node (or its shortcut _make_diagonal_node), the
-    pair core of make_node, or through _make_gate_node; each normalizes
-    and deduplicates.
+    edges); its size is the live node count. Every node is built by
+    _make_node, the pair core of make_node, which normalizes and
+    deduplicates.
     """
 
     def __init__(self):
@@ -154,14 +153,6 @@ class Universe:
 
     # -- node construction ----------------------------------------------
 
-    def _unique(self, height: int, key: tuple) -> Node:
-        """The node for the edge tuple ``key``, created on a miss."""
-        node = self._table.get(key)
-        if node is None:
-            node = self._table[key] = Node(height, key, self._node_seq)
-            self._node_seq += 1
-        return node
-
     def make_node(self, *edges: Edge) -> Edge:
         """Build (or find) the normalized node over ``edges``: two for a
         vector node (e0, e1), four for a matrix node (e00, e01, e10, e11),
@@ -174,8 +165,14 @@ class Universe:
         """
         return Edge(*self._make_node(edges))
 
-    def _make_node(self, edges) -> tuple:
-        """make_node over a sequence of pairs, returning a pair."""
+    def _make_node(self, edges, height: int | None = None) -> tuple:
+        """make_node over a sequence of pairs, returning a pair. A given
+        ``height`` places the node there and lets its successors sit at
+        any lower heights, as in a gate diagram (see qdd.gates): an edge
+        to a lower node is the identity on every height it skips, and
+        (w, TERMINAL) is w times the identity on every qubit below. Such
+        a node is keyed by (height, edges), since its edges do not fix
+        its height."""
         ct = self.ctab
         zero = ct.zero
         zero_edge = self.zero_edge
@@ -186,61 +183,26 @@ class Universe:
                 out.append(zero_edge)
             elif d is None:
                 d = w
-                height = node.height
+                below = node.height
                 out.append((ct.one, node))
-            elif node.height != height:
-                raise ValueError(f"successors at heights {height} "
+            elif node.height != below and height is None:
+                raise ValueError(f"successors at heights {below} "
                                  f"and {node.height}")
             else:
                 r = ct.cdiv(w, d)
                 out.append(zero_edge if r is zero else (r, node))
         if d is None:
             return zero_edge
-        return d, self._unique(height + 1, tuple(out))
-
-    def _make_gate_node(self, height: int, edges) -> tuple:
-        """A matrix node at ``height`` over four pairs whose nodes may sit
-        at any lower heights: an edge to a lower node is the identity on
-        every height it skips, and (w, TERMINAL) is w times the identity
-        on every qubit below. Normalized like _make_node, and keyed by
-        (height, edges), since the edges alone do not fix the height;
-        (x, zero, zero, x), the identity on this height, reduces to x."""
-        zero = self.ctab.zero
-        e00, e01, e10, e11 = edges
-        if e01[0] is zero and e10[0] is zero and e00 == e11:
-            return e00
-        cdiv = self.ctab.cdiv
-        zero_edge = self.zero_edge
-        d = None
-        out = []
-        for w, node in edges:
-            if w is zero:
-                out.append(zero_edge)
-            elif d is None:
-                d = w
-                out.append((self.ctab.one, node))
-            else:
-                r = cdiv(w, d)
-                out.append(zero_edge if r is zero else (r, node))
         succ = tuple(out)
-        key = (height, succ)
+        if height is None:
+            key, height = succ, below + 1
+        else:
+            key = height, succ
         node = self._table.get(key)
         if node is None:
             node = self._table[key] = Node(height, succ, self._node_seq)
             self._node_seq += 1
         return d, node
-
-    def make_diagonal_node(self, e: Edge) -> Edge:
-        """make_node(e, zero, zero, e) for a nonzero ``e``, where
-        cdiv(e.w, e.w) is exactly the interned 1."""
-        return Edge(*self._make_diagonal_node(e))
-
-    def _make_diagonal_node(self, e: tuple) -> tuple:
-        """make_diagonal_node over a pair, returning a pair."""
-        w, node = e
-        link = (self.ctab.one, node)
-        z = self.zero_edge
-        return w, self._unique(node.height + 1, (link, z, z, link))
 
     # -- vector construction and readout ---------------------------------
 

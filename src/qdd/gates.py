@@ -8,14 +8,14 @@ core set is X/Z/H plus phases.
 The engine's gate diagram (_gate_dd) is built bottom-up without ever
 forming a dense matrix, in heights (qubit q at n - 1 - q, see qdd.dd),
 with one node per involved qubit: every height the gate does not touch
-is skipped (Universe._make_gate_node), so the diagram feeds
-qdd.ops.multiply only. Each quadrant track of the base matrix starts as
-its entry times the identity below, a terminal-bound edge; a control
-below the target gates the tracks into e11 (identity in e00), the target
-joins them, and each control above adds one node. That is at most
-1 + 3 * (controls below the target) + (controls above) nodes whatever n
-is, as a control below holds the two diagonal tracks and one node the
-off-diagonal pair shares.
+is skipped (_gate_node), so the diagram feeds qdd.ops.multiply only.
+Each quadrant track of the base matrix starts as its entry times the
+identity below, a terminal-bound edge; a control below the target gates
+the tracks into e11 (identity in e00), the target joins them, and each
+control above adds one node. That is at most 1 + 3 * (controls below
+the target) + (controls above) nodes whatever n is, as a control below
+holds the two diagonal tracks and one node the off-diagonal pair
+shares.
 
 build_gate_dd derives the full n-qubit operator from that diagram,
 filling every skipped height with identity, so every nonzero path visits
@@ -53,12 +53,13 @@ class GateKind(Enum):
 _PARAMLESS = frozenset(k for k in GateKind if k not in (GateKind.PHASE, GateKind.RK))
 
 
-def _qubit_index(q) -> int:
-    """q as a plain int (numpy integers included); ValueError otherwise."""
+def _qubit_index(q, what: str = "index") -> int:
+    """q as a plain int (numpy integers included); ValueError otherwise,
+    naming q the qubit ``what``: an index or a count."""
     try:
         return operator.index(q)
     except TypeError:
-        raise ValueError(f"qubit index {q!r} is not an integer") from None
+        raise ValueError(f"qubit {what} {q!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ def base2x2(kind: GateKind, param: float | int | None = None):
 
 def identity_dd(uni: Universe, n: int) -> Edge:
     """Identity over n qubits: n diagonal nodes, shared per universe."""
-    n = _qubit_index(n)
+    n = _qubit_index(n, "count")
     if n < 0:
         raise ValueError("qubit count must be nonnegative")
     return Edge(*_full(uni, (uni.ctab.one, TERMINAL), n))
@@ -125,7 +126,7 @@ def build_gate_dd(uni: Universe, n: int, spec: GateSpec) -> Edge:
     """n-qubit diagram of a controlled single-qubit gate, one node per
     height on every path: the engine's diagram with each skipped height
     filled in by identity. Memoized until GC."""
-    n = _qubit_index(n)
+    n = _qubit_index(n, "count")
     return Edge(*_full(uni, _gate_dd(uni, n, spec), n))
 
 
@@ -142,6 +143,7 @@ def _full(uni: Universe, e: tuple, h: int) -> tuple:
     memo = uni.cache.gates
     got = memo.get((node, h))
     if got is None:
+        z = uni.zero_edge
         k = node.height + 1
         got = memo.get((node, k))
         if got is None:
@@ -152,8 +154,19 @@ def _full(uni: Universe, e: tuple, h: int) -> tuple:
             k += 1
             below, got = got, memo.get((node, k))
             if got is None:
-                got = memo[node, k] = uni._make_diagonal_node(below)
+                got = memo[node, k] = uni._make_node((below, z, z, below))
     return ct.cmul(w, got[0]), got[1]
+
+
+def _gate_node(uni: Universe, height: int, edges) -> tuple:
+    """The gate-diagram node at ``height`` over four pairs, whose nodes
+    may sit at any lower heights (see Universe._make_node); (x, zero,
+    zero, x), the identity on this height, reduces to x."""
+    e00, e01, e10, e11 = edges
+    zero = uni.ctab.zero
+    if e01[0] is zero and e10[0] is zero and e00 == e11:
+        return e00
+    return uni._make_node(edges, height)
 
 
 def _gate_dd(uni: Universe, n: int, spec: GateSpec) -> tuple:
@@ -183,12 +196,12 @@ def _gate_dd(uni: Universe, n: int, spec: GateSpec) -> tuple:
         if h < target:
             for k, t in enumerate(tracks):
                 if k in (0, 3):
-                    tracks[k] = uni._make_gate_node(h, (ident, zero, zero, t))
+                    tracks[k] = _gate_node(uni, h, (ident, zero, zero, t))
                 elif t[0] is not ct.zero:
-                    tracks[k] = uni._make_gate_node(h, (zero, zero, zero, t))
-    e = uni._make_gate_node(target, tracks)
+                    tracks[k] = _gate_node(uni, h, (zero, zero, zero, t))
+    e = _gate_node(uni, target, tracks)
     for h in controls:
         if h > target:
-            e = uni._make_gate_node(h, (ident, zero, zero, e))
+            e = _gate_node(uni, h, (ident, zero, zero, e))
     uni.cache.gates[n, spec] = e
     return e

@@ -42,6 +42,11 @@ class NormDriftError(RuntimeError):
         self.op_index = op_index
 
 
+def _arity(e: tuple) -> int:
+    """2 for a vector root, 4 for a matrix root, 0 for the terminal."""
+    return 0 if e[1] is TERMINAL else len(e[1].succ)
+
+
 def _edge(uni: Universe, w: ComplexValue, node) -> tuple:
     # Keep the zero edge canonical even when a product underflows the
     # interning tolerance.
@@ -55,8 +60,10 @@ def kron(uni: Universe, a: Edge, b: Edge) -> Edge:
 
     Rebuilds a with every nonzero terminal-bound edge redirected to b's
     root node, which lifts each of a's nodes by b's qubit count; the two
-    root weights multiply.
+    root weights multiply. a and b must be two vectors or two matrices.
     """
+    if {_arity(a), _arity(b)} == {2, 4}:
+        raise ValueError("kron of a vector and a matrix")
     ct = uni.ctab
     if a.w is ct.zero or b.w is ct.zero:
         return uni.zero_edge
@@ -85,6 +92,8 @@ def _kron_rebuild(uni: Universe, memo: dict, node, below):
 def add(uni: Universe, p: Edge, q: Edge) -> Edge:
     """Component-wise sum of two vectors, or two matrices, over the same
     qubit set."""
+    if {_arity(p), _arity(q)} == {2, 4}:
+        raise ValueError("sum of a vector and a matrix")
     return Edge(*_add(uni, p, q))
 
 
@@ -132,7 +141,10 @@ def multiply(uni: Universe, u: Edge, v: Edge) -> Edge:
     (w, TERMINAL) is w times the identity on every qubit below (the
     engine's gate diagrams, see qdd.gates); a node diag(x, x) of a full
     operator acts as x on the heights below, as a skipped height does. A
-    u over more qubits than v raises ValueError."""
+    u over more qubits than v, a vector u or a matrix v raises
+    ValueError."""
+    if _arity(u) == 2 or _arity(v) == 4:
+        raise ValueError("multiply takes a matrix u and a vector v")
     ct = uni.ctab
     (uw, un), (vw, vn) = u, v
     if uw is ct.zero or vw is ct.zero:
@@ -261,7 +273,7 @@ def _project(uni: Universe, v: Edge, q: int, o: int) -> tuple:
     product gives (every node it rebuilds is a unique-table hit). Only a
     random outcome builds the product. The projector is one node, at
     qubit q, whose terminal-bound link is the identity on the qubits
-    below (see Universe._make_gate_node), so multiply passes them through
+    below (see Universe._make_node), so multiply passes them through
     and memoizes each rebuilt node in the mult cache under (projector
     node, state node): a later shot that measures the same state again
     pays a lookup.
@@ -274,8 +286,8 @@ def _project(uni: Universe, v: Edge, q: int, o: int) -> tuple:
         return v
     link = (uni.ctab.one, TERMINAL)
     z = uni.zero_edge
-    proj = uni._make_gate_node(
-        height, (link, z, z, z) if o == 0 else (z, z, z, link))[1]
+    proj = uni._make_node(
+        (link, z, z, z) if o == 0 else (z, z, z, link), height)[1]
     cw, cn = _mul_nodes(uni, proj, v.node)
     return _edge(uni, uni.ctab.cmul(v.w, cw), cn)
 

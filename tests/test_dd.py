@@ -74,6 +74,21 @@ class TestMakeVectorNode:
         e = uni.make_node(leaf, Edge(uni.ctab.zero, inner.node))
         assert e.node is inner.node
 
+    def test_given_height_lets_successors_skip_heights(self, uni):
+        # a gate-diagram node: its height is given, so its nonzero
+        # successors may sit at different lower heights; make_node
+        # derives the height and still rejects them
+        ct = uni.ctab
+        leaf = (ct.one, TERMINAL)
+        z = uni.zero_edge
+        pairs = (leaf, z, z, uni._make_node((leaf, z, z, leaf)))
+        w, node = uni._make_node(pairs, 3)
+        assert w is ct.one and node.height == 3 and node.succ == pairs
+        assert uni._make_node(pairs, 3)[1] is node
+        assert uni._make_node(pairs, 2)[1] is not node
+        with pytest.raises(ValueError, match="heights -1 and 0"):
+            uni.make_node(*(Edge(*e) for e in pairs))
+
 
 class TestMakeMatrixNode:
     def test_hadamard_shape(self, uni):

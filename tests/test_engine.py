@@ -183,8 +183,6 @@ class TestGateDDCache:
             def no_build(*args):
                 raise AssertionError("warm gate build constructed a node")
             monkeypatch.setattr(uni, "_make_node", no_build)
-            monkeypatch.setattr(uni, "_make_diagonal_node", no_build)
-            monkeypatch.setattr(uni, "_make_gate_node", no_build)
             warm = build_gate_dd(uni, 5, spec)
             assert warm.w is cold.w and warm.node is cold.node
             assert gate_dd_for(uni, 5, spec, {}) == cold_core
@@ -409,7 +407,7 @@ class TestPublicEdgeView:
         results = [
             uni.make_node(leaf, uni.zero_edge),
             uni.make_node(uni.zero_edge, uni.zero_edge),
-            uni.make_diagonal_node(leaf),
+            uni.make_node(leaf, uni.zero_edge, uni.zero_edge, leaf),
             uni.basis_state(2, "01"), v,
             uni.build_matrix([[0, 1], [1, 0]]),
             kron(uni, leaf, v), add(uni, v, v),

@@ -1,10 +1,12 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 
 import qdd.dense as dense
+import qdd.gates as gates
 from qdd import (TERMINAL, GateKind, GateSpec, Universe, base2x2,
                  build_gate_dd, count_nodes, gate_dd_for, identity_dd,
                  multiply, norm_squared)
@@ -189,15 +191,16 @@ class TestBuildGateDD:
         identity_dd(uni, n)
         calls = 0
 
-        def counting(make):
-            def call(*args):
-                nonlocal calls
-                calls += 1
-                return make(*args)
-            return call
+        make = uni._make_node
 
-        uni._make_node = counting(uni._make_node)
-        uni._make_diagonal_node = counting(uni._make_diagonal_node)
+        def counting(edges, height=None):
+            # the nodes of a full diagram; the engine's diagram, whose
+            # nodes take a height, is not counted
+            nonlocal calls
+            calls += height is None
+            return make(edges, height)
+
+        uni._make_node = counting
         build_gate_dd(uni, n, GateSpec(GateKind.H, target, frozenset(controls)))
         low = max((c for c in controls if c > target), default=target)
         assert calls <= 4 * (low - target) + target + 1
@@ -213,7 +216,8 @@ class TestBuildGateDD:
         spec = GateSpec(GateKind.X, 0)
         for build in (lambda: build_gate_dd(uni, n, spec),
                       lambda: identity_dd(uni, n)):
-            with pytest.raises(ValueError, match="not an integer"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"qubit count {n!r} is not an integer")):
                 build()
         assert uni.live_nodes == 0
 
@@ -391,7 +395,7 @@ class TestEngineGateDD:
         ct = uni.ctab
         x = (ct.intern(0.5j), TERMINAL)
         z = uni.zero_edge
-        assert uni._make_gate_node(3, (x, z, z, x)) == x
+        assert gates._gate_node(uni, 3, (x, z, z, x)) == x
         # controls whose e00 and e11 agree add no node: a zero phase is
         # the identity, and cz's |0> track below its target is too
         phase0 = GateSpec(GateKind.PHASE, 1, frozenset({0, 4}), 0.0)
@@ -421,9 +425,8 @@ class TestEngineGateDD:
 
             before = uni.live_nodes
             uni._make_node = counting(uni._make_node)
-            uni._make_diagonal_node = counting(uni._make_diagonal_node)
             build_gate_dd(uni, n, spec)
-            del uni._make_node, uni._make_diagonal_node
+            del uni._make_node
             assert calls == uni.live_nodes - before
 
     def test_gate_nodes_are_counted_and_swept(self, uni):

@@ -35,6 +35,15 @@ class Forced:
 
 
 class TestKron:
+    def test_vector_and_matrix_rejected(self, uni):
+        h = uni.build_matrix([[S, S], [S, -S]])
+        v = uni.basis_state(1, "1")
+        for a, b in ((h, v), (v, h)):
+            with pytest.raises(ValueError, match="vector and a matrix"):
+                kron(uni, a, b)
+        # a terminal root is neither kind
+        assert kron(uni, _one_edge(uni), v) == v
+
     def test_h_times_identity(self, uni):
         h = uni.build_matrix([[S, S], [S, -S]])
         ident = uni.build_matrix([[1, 0], [0, 1]])
@@ -91,6 +100,15 @@ def _one_edge(uni):
 
 
 class TestAdd:
+    def test_vector_and_matrix_rejected(self, uni):
+        v = uni.basis_state(2, "01")
+        gate = build_gate_dd(uni, 2, GateSpec(GateKind.H, 0))
+        for p, q in ((v, gate), (gate, v)):
+            with pytest.raises(ValueError, match="vector and a matrix"):
+                add(uni, p, q)
+        # a terminal root, the zero edge included, is neither kind
+        assert add(uni, gate, uni.zero_edge) == gate
+
     def test_additive_identity(self, uni):
         v = uni.build_vector(list(np.arange(4) + 0.5))
         assert add(uni, v, uni.zero_edge) == v
@@ -137,6 +155,16 @@ class TestAdd:
 
 
 class TestMultiply:
+    def test_operand_kinds_checked(self, uni):
+        v = uni.basis_state(2, "01")
+        gate = build_gate_dd(uni, 2, GateSpec(GateKind.H, 0))
+        for u, x in ((gate, gate), (v, v), (v, gate)):
+            with pytest.raises(ValueError, match="matrix u and a vector v"):
+                multiply(uni, u, x)
+        # a terminal root, scalar or zero, is neither kind
+        assert multiply(uni, _one_edge(uni), v) == v
+        assert multiply(uni, gate, uni.zero_edge) == uni.zero_edge
+
     def test_cnot_flips(self, uni):
         cnot = build_gate_dd(uni, 2, GateSpec(GateKind.X, 1, frozenset({0})))
         got = multiply(uni, cnot, uni.basis_state(2, "11"))
@@ -392,8 +420,13 @@ class TestCollapseMemo:
             calls = []
             make = uni._make_node
             prob = qdd.ops.node_probability
-            monkeypatch.setattr(uni, "_make_node",
-                                lambda *args: calls.append(args) or make(*args))
+            def counted(edges, height=None):
+                # the projector, the one node given a height, is found in
+                # the table; every product node is built height-less
+                if height is None:
+                    calls.append(edges)
+                return make(edges, height)
+            monkeypatch.setattr(uni, "_make_node", counted)
             monkeypatch.setattr(qdd.ops, "node_probability",
                                 lambda *args: calls.append(args) or prob(*args))
             again = measure_qubit(uni, v, 3, Forced(draw))
