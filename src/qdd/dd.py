@@ -36,7 +36,8 @@ exception: Universe._make_node, given a node's height, lets its edges
 skip every height the operator leaves alone (an edge to a lower node is
 the identity on the heights between, (w, TERMINAL) is w times the
 identity on every qubit below). They feed qdd.ops.multiply only; add,
-kron and read_matrix_entry take full diagrams.
+kron and read_matrix_entry reject them (qdd.gates.build_gate_dd gives
+the full operator).
 
 A Universe owns the unique table, the complex table and the operation
 caches. It is single-owner: one simulation, one thread. Edges are only
@@ -130,9 +131,10 @@ class Universe:
     edge. Nodes are keyed by their edge tuple alone (a pair for a vector
     node, a 4-tuple for a matrix node), so both kinds share the table
     without colliding, except the engine's gate nodes, keyed by (height,
-    edges); its size is the live node count. Every node is built by
-    _make_node, the pair core of make_node, which normalizes and
-    deduplicates.
+    edges), so a gate node is not the entry under its own edges, which
+    is how add, kron and read_matrix_entry tell one apart and reject it;
+    its size is the live node count. Every node is built by _make_node,
+    the pair core of make_node, which normalizes and deduplicates.
     """
 
     def __init__(self):
@@ -156,23 +158,30 @@ class Universe:
     def make_node(self, *edges: Edge) -> Edge:
         """Build (or find) the normalized node over ``edges``: two for a
         vector node (e0, e1), four for a matrix node (e00, e01, e10, e11),
-        whose nonzero successors must share a height, one below the node's.
+        whose nonzero successors must share a height, one below the node's;
+        a successor of the other kind, or an engine gate diagram (see
+        _check_root), raises ValueError.
 
         The first nonzero weight becomes the returned edge's weight; the
         node keeps the interned 1 there and every later weight divided
         through it. Zero weights, and ratios that intern to zero, become
         the zero edge; all-zero operands return it.
         """
+        heights = [nd.height for w, nd in edges if w is not self.ctab.zero]
+        for h in heights:
+            if h != heights[0]:
+                raise ValueError(f"successors at heights {heights[0]} and {h}")
+        for e in edges:
+            self._check_root(e, len(edges))
         return Edge(*self._make_node(edges))
 
     def _make_node(self, edges, height: int | None = None) -> tuple:
-        """make_node over a sequence of pairs, returning a pair. A given
-        ``height`` places the node there and lets its successors sit at
-        any lower heights, as in a gate diagram (see qdd.gates): an edge
-        to a lower node is the identity on every height it skips, and
-        (w, TERMINAL) is w times the identity on every qubit below. Such
-        a node is keyed by (height, edges), since its edges do not fix
-        its height."""
+        """make_node over pairs, without its checks, returning a pair. A
+        given ``height`` places the node there and keys it by (height,
+        edges), as its successors may then sit at any lower heights, as in
+        a gate diagram (see qdd.gates): an edge to a lower node is the
+        identity on every height it skips, and (w, TERMINAL) is w times
+        the identity on every qubit below."""
         ct = self.ctab
         zero = ct.zero
         zero_edge = self.zero_edge
@@ -185,9 +194,6 @@ class Universe:
                 d = w
                 below = node.height
                 out.append((ct.one, node))
-            elif node.height != below and height is None:
-                raise ValueError(f"successors at heights {below} "
-                                 f"and {node.height}")
             else:
                 r = ct.cdiv(w, d)
                 out.append(zero_edge if r is zero else (r, node))
@@ -231,22 +237,30 @@ class Universe:
         if e.w is not self.ctab.zero and e.node.height != n - 1:
             raise ValueError(f"diagram has {e.node.height + 1} qubits, not {n}")
 
+    def _check_root(self, e: tuple, arity: int = 0) -> None:
+        """Reject a root of the other kind than ``arity`` asks for (2, a
+        vector; 4, a matrix; 0, either; the terminal is neither), and a
+        matrix root that is not its own unique-table entry."""
+        node = e[1]
+        if node is TERMINAL:
+            return
+        if arity and len(node.succ) != arity:
+            kind = "vector" if arity == 2 else "matrix"
+            raise ValueError(f"not a {kind} diagram")
+        if len(node.succ) == 4 and self._table.get(node.succ) is not node:
+            raise ValueError("not a full matrix diagram: an engine gate "
+                             "diagram (build_gate_dd gives the full one), or "
+                             "one that gc_collect swept")
+
     def read_amplitude(self, v: Edge, n: int, index: int) -> complex:
         """Amplitude of basis state ``index``: the path weight product."""
-        if not 0 <= index < (1 << n):
-            raise ValueError(f"index {index} out of range for {n} qubits")
-        self._check_width(v, n)
-        w = complex(v.w)
-        node = v.node
-        while node is not TERMINAL and w != 0:
-            ew, node = node.succ[(index >> node.height) & 1]
-            w *= ew
-        return w
+        return self._read_path(v, n, 0, index, 2)
 
     def read_dense(self, v: Edge, n: int) -> list[complex]:
         """Expand a vector diagram back to its 2^n amplitudes (n <= 20)."""
         if n > 20:
             raise ValueError(f"read_dense caps at 20 qubits, got {n}")
+        self._check_root(v, 2)
         self._check_width(v, n)
         out = [0j] * (1 << n)
         _fill_dense(out, v, 0, 1.0 + 0j)
@@ -265,12 +279,19 @@ class Universe:
 
     def read_matrix_entry(self, m: Edge, n: int, row: int, col: int) -> complex:
         """Entry (row, col): row indexes the output basis state."""
+        return self._read_path(m, n, row, col, 4)
+
+    def _read_path(self, e: Edge, n: int, row: int, col: int,
+                   arity: int) -> complex:
+        """Path weight product to entry (row, col); a vector's row is 0."""
         dim = 1 << n
         if not (0 <= row < dim and 0 <= col < dim):
-            raise ValueError(f"entry ({row}, {col}) out of range for {n} qubits")
-        self._check_width(m, n)
-        w = complex(m.w)
-        node = m.node
+            at = f"index {col}" if arity == 2 else f"entry ({row}, {col})"
+            raise ValueError(f"{at} out of range for {n} qubits")
+        self._check_root(e, arity)
+        self._check_width(e, n)
+        w = complex(e.w)
+        node = e.node
         while node is not TERMINAL and w != 0:
             h = node.height
             ew, node = node.succ[((row >> h) & 1) * 2 + ((col >> h) & 1)]

@@ -52,7 +52,7 @@ def gate_dd_for(uni: Universe, n: int, spec: GateSpec, cache: dict) -> Edge:
     """The gate diagram the engine applies, one node per involved qubit,
     skipping the heights the gate does not touch (see qdd.gates), also
     recorded in ``cache[spec]``. It feeds qdd.ops.multiply only; add,
-    kron and read_matrix_entry take build_gate_dd's full diagram."""
+    kron and read_matrix_entry reject it and take build_gate_dd's."""
     edge = cache[spec] = Edge(*_gate_dd(uni, n, spec))
     return edge
 

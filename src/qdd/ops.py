@@ -60,10 +60,13 @@ def kron(uni: Universe, a: Edge, b: Edge) -> Edge:
 
     Rebuilds a with every nonzero terminal-bound edge redirected to b's
     root node, which lifts each of a's nodes by b's qubit count; the two
-    root weights multiply. a and b must be two vectors or two matrices.
+    root weights multiply. a and b must be two vectors or two full
+    matrices; an engine gate diagram raises ValueError.
     """
     if {_arity(a), _arity(b)} == {2, 4}:
         raise ValueError("kron of a vector and a matrix")
+    uni._check_root(a)
+    uni._check_root(b)
     ct = uni.ctab
     if a.w is ct.zero or b.w is ct.zero:
         return uni.zero_edge
@@ -90,15 +93,22 @@ def _kron_rebuild(uni: Universe, memo: dict, node, below):
 # -- addition --------------------------------------------------------------
 
 def add(uni: Universe, p: Edge, q: Edge) -> Edge:
-    """Component-wise sum of two vectors, or two matrices, over the same
-    qubit set."""
+    """Component-wise sum of two vectors, or two full matrices (an engine
+    gate diagram raises ValueError), over the same qubit set."""
     if {_arity(p), _arity(q)} == {2, 4}:
         raise ValueError("sum of a vector and a matrix")
+    uni._check_root(p)
+    uni._check_root(q)
+    (pw, pn), (qw, qn) = p, q
+    zero = uni.ctab.zero
+    if pw is not zero and qw is not zero and pn.height != qn.height:
+        at = "" if TERMINAL in (pn, qn) else f": {pn.height} vs {qn.height}"
+        raise ValueError(f"operands span different qubit sets{at}")
     return Edge(*_add(uni, p, q))
 
 
 def _add(uni: Universe, p: tuple, q: tuple) -> tuple:
-    """add over (weight, node) pairs, returning a pair."""
+    """add over (weight, node) pairs of one height, returning a pair."""
     ct = uni.ctab
     cache = uni.cache
     cache.ops_count += 1
@@ -108,13 +118,8 @@ def _add(uni: Universe, p: tuple, q: tuple) -> tuple:
         return q
     if qw is ct.zero:
         return p
-    if pn is TERMINAL or qn is TERMINAL:
-        if pn is not qn:
-            raise ValueError("operands span different qubit sets")
+    if pn is TERMINAL:
         return ct.cadd(pw, qw), TERMINAL
-    if pn.height != qn.height:
-        raise ValueError(
-            f"operands span different qubit sets: {pn.height} vs {qn.height}")
     # Deterministic operand order makes the cache line commutative.
     if (qn.idx, qw.idx) < (pn.idx, pw.idx):
         pw, qw = qw, pw
@@ -149,6 +154,9 @@ def multiply(uni: Universe, u: Edge, v: Edge) -> Edge:
     (uw, un), (vw, vn) = u, v
     if uw is ct.zero or vw is ct.zero:
         return uni.zero_edge
+    if un.height > vn.height:
+        raise ValueError("operator spans more qubits than the state: "
+                         f"{un.height + 1} vs {vn.height + 1}")
     rw, rn = _mul_nodes(uni, un, vn)
     return Edge(*_edge(uni, ct.cmul(ct.cmul(uw, vw), rw), rn))
 
@@ -157,9 +165,6 @@ def _mul_nodes(uni: Universe, un, vn) -> tuple:
     ct = uni.ctab
     cache = uni.cache
     cache.ops_count += 1
-    if un.height > vn.height:
-        raise ValueError("operator spans more qubits than the state: "
-                         f"{un.height + 1} vs {vn.height + 1}")
     if un is TERMINAL:
         return ct.one, vn
     key = (un, vn)
@@ -233,6 +238,7 @@ def qubit_probabilities(uni: Universe, v: Edge) -> tuple[float, float]:
     """(P(root qubit -> 0), P(root qubit -> 1)), root weight included."""
     if v.node is TERMINAL:
         raise ValueError("state has no qubits to measure")
+    uni._check_root(v, 2)
     return (norm_squared(uni, _project(uni, v, 0, 0)),
             norm_squared(uni, _project(uni, v, 0, 1)))
 
@@ -308,11 +314,12 @@ def measure_qubit(uni: Universe, v: Edge, q: int, rng) -> tuple[int, Edge]:
     Projects the state onto outcome 0 and draws against that
     projection's squared norm like measure_top; the projection onto 1 is
     built only when 1 is drawn. The projected state is renormalized by
-    its own norm.
+    its own norm; NormDriftError if the kept state's norm still misses 1.
     """
     q = _qubit_index(q)
     if v.node is TERMINAL:
         raise ValueError("state has no qubits to measure")
+    uni._check_root(v, 2)
     if not 0 <= q <= v.node.height:
         raise ValueError(
             f"qubit {q} out of range for {v.node.height + 1} qubits")
@@ -332,8 +339,12 @@ def measure_qubit(uni: Universe, v: Edge, q: int, rng) -> tuple[int, Edge]:
                                  deviation=dev)
     ct = uni.ctab
     w, node = pv
-    w = ct.cmul(w, ct.intern(1.0 / math.sqrt(p)))
-    return outcome, Edge(*_edge(uni, w, node))
+    kept = _edge(uni, ct.cmul(w, ct.intern(1.0 / math.sqrt(p))), node)
+    dev = abs(norm_squared(uni, kept) - 1.0)
+    if dev > PROB_TOL:
+        raise NormDriftError(f"collapsed state misses norm 1 by {dev:g}",
+                             deviation=dev)
+    return outcome, Edge(*kept)
 
 
 def measure_all(uni: Universe, v: Edge, rng) -> str:
@@ -344,6 +355,7 @@ def measure_all(uni: Universe, v: Edge, rng) -> str:
     branch masses over the node probability, memoized per node in the
     compute cache. One uniform draw per qubit.
     """
+    uni._check_root(v, 2)
     total = norm_squared(uni, v)
     dev = abs(total - 1.0)
     if dev > PROB_TOL:

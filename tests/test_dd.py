@@ -89,6 +89,27 @@ class TestMakeVectorNode:
         with pytest.raises(ValueError, match="heights -1 and 0"):
             uni.make_node(*(Edge(*e) for e in pairs))
 
+    def test_engine_gate_node_successor_rejected(self, uni):
+        # a full node over a gate node would carry its skipped heights
+        # into add, kron and read_matrix_entry
+        from qdd import GateKind, GateSpec, gate_dd_for
+        h = gate_dd_for(uni, 4, GateSpec(GateKind.H, 2), {})
+        assert h.node.height == 1
+        z = uni.zero_edge
+        with pytest.raises(ValueError, match="not a full matrix diagram"):
+            uni.make_node(h, z, z, h)
+
+    def test_successor_of_the_other_kind_rejected(self, uni):
+        # a matrix node over vector nodes read 0j, or failed to unpack
+        leaf = Edge(uni.ctab.one, TERMINAL)
+        z = uni.zero_edge
+        v = uni.make_node(leaf, z)
+        m = uni.make_node(leaf, z, z, leaf)
+        with pytest.raises(ValueError, match="not a matrix diagram"):
+            uni.make_node(v, z, z, v)
+        with pytest.raises(ValueError, match="not a vector diagram"):
+            uni.make_node(m, z)
+
 
 class TestMakeMatrixNode:
     def test_hadamard_shape(self, uni):
@@ -457,6 +478,32 @@ def test_read_matrix_entry_qubit_count_must_match(uni):
             uni.read_matrix_entry(cnot, n, 1, 1)
     assert uni.read_matrix_entry(cnot, 2, 3, 2) == 1
     assert uni.read_matrix_entry(uni.zero_edge, 3, 3, 2) == 0
+
+
+def test_readouts_check_the_kind(uni):
+    from qdd import GateKind, GateSpec, build_gate_dd
+    h2 = build_gate_dd(uni, 2, GateSpec(GateKind.H, 0))
+    v = uni.basis_state(2, "01")
+    # a matrix read as a vector gave 0j and [0.707, 0, 0.707, 0]; a vector
+    # read as a matrix raised IndexError
+    with pytest.raises(ValueError, match="not a vector diagram"):
+        uni.read_amplitude(h2, 2, 1)
+    with pytest.raises(ValueError, match="not a vector diagram"):
+        uni.read_dense(h2, 2)
+    with pytest.raises(ValueError, match="not a matrix diagram"):
+        uni.read_matrix_entry(v, 2, 1, 1)
+    # a terminal root is neither kind
+    one = Edge(uni.ctab.one, TERMINAL)
+    assert uni.read_amplitude(one, 0, 0) == uni.read_matrix_entry(one, 0, 0, 0)
+
+
+def test_read_matrix_entry_rejects_engine_gate_diagram(uni):
+    from qdd import GateKind, GateSpec, build_gate_dd, gate_dd_for
+    spec = GateSpec(GateKind.H, 0)
+    # the skipped heights below the target read as (0, 1) = 0.7071
+    with pytest.raises(ValueError, match="not a full matrix diagram"):
+        uni.read_matrix_entry(gate_dd_for(uni, 4, spec, {}), 4, 0, 1)
+    assert uni.read_matrix_entry(build_gate_dd(uni, 4, spec), 4, 0, 1) == 0
 
 
 def test_read_dense_cap(uni):

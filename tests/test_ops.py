@@ -6,9 +6,10 @@ import pytest
 
 import qdd.dense as dense
 from qdd import (GateKind, GateSpec, TERMINAL, Universe, add,
-                 build_gate_dd, count_nodes, kron, measure_all, measure_qubit,
-                 measure_top, multiply, node_probability, norm_squared,
-                 qubit_probabilities, NormDriftError)
+                 build_gate_dd, count_nodes, gate_dd_for, identity_dd, kron,
+                 measure_all, measure_qubit, measure_top, multiply,
+                 node_probability, norm_squared, qubit_probabilities,
+                 NormDriftError)
 from qdd.ops import _levels
 
 from _util import (assert_interned, assert_valid_state, cyclic_garbage,
@@ -34,7 +35,21 @@ class Forced:
         return self.draws.pop(0) if len(self.draws) > 1 else self.draws[0]
 
 
+FULL_ONLY = "not a full matrix diagram"
+
+
 class TestKron:
+    def test_engine_gate_diagram_rejected(self, uni):
+        # its root sits at the target's height, not at the top: rebuilt
+        # over a 1-qubit identity it landed at height 1, not 4
+        h0 = gate_dd_for(uni, 4, GateSpec(GateKind.H, 0), {})
+        ident = identity_dd(uni, 1)
+        for a, b in ((h0, ident), (ident, h0)):
+            with pytest.raises(ValueError, match=FULL_ONLY):
+                kron(uni, a, b)
+        full = build_gate_dd(uni, 4, GateSpec(GateKind.H, 0))
+        assert kron(uni, full, ident).node.height == 4
+
     def test_vector_and_matrix_rejected(self, uni):
         h = uni.build_matrix([[S, S], [S, -S]])
         v = uni.basis_state(1, "1")
@@ -100,6 +115,38 @@ def _one_edge(uni):
 
 
 class TestAdd:
+    def test_engine_gate_diagrams_rejected(self, uni):
+        # H + X on qubit 0 of 4 came back as a root at height 0, not 3
+        h0, x0 = (gate_dd_for(uni, 4, GateSpec(kind, 0), {})
+                  for kind in (GateKind.H, GateKind.X))
+        with pytest.raises(ValueError, match=FULL_ONLY):
+            add(uni, h0, x0)
+        # a CX whose control sits three heights above its target
+        cx = gate_dd_for(uni, 4, GateSpec(GateKind.X, 3, frozenset({0})), {})
+        with pytest.raises(ValueError, match=FULL_ONLY):
+            add(uni, cx, cx)
+        with pytest.raises(ValueError, match=FULL_ONLY):
+            add(uni, uni.zero_edge, h0)
+        full = build_gate_dd(uni, 4, GateSpec(GateKind.H, 0))
+        assert add(uni, full, full).node.height == 3
+
+    def test_swept_matrix_rejected(self, uni):
+        h = uni.build_matrix([[S, S], [S, -S]])
+        uni.gc_collect([])
+        with pytest.raises(ValueError, match="gc_collect swept"):
+            add(uni, h, h)
+
+    def test_different_heights_rejected(self, uni):
+        two, three = uni.basis_state(2, "01"), uni.basis_state(3, "011")
+        for p, q in ((two, three), (three, two)):
+            with pytest.raises(ValueError,
+                               match="different qubit sets: [12] vs [21]"):
+                add(uni, p, q)
+        with pytest.raises(ValueError, match="different qubit sets$"):
+            add(uni, two, _one_edge(uni))
+        # a zero operand spans every qubit set
+        assert add(uni, two, uni.zero_edge) == two
+
     def test_vector_and_matrix_rejected(self, uni):
         v = uni.basis_state(2, "01")
         gate = build_gate_dd(uni, 2, GateSpec(GateKind.H, 0))
@@ -391,6 +438,16 @@ class TestMeasureQubit:
         with pytest.raises(ValueError):
             measure_qubit(uni, v, 2, Forced(0.5))
 
+    def test_unnormalized_collapse_raises(self, uni):
+        # a tiny first weight: the renormalized root weight interns back
+        # to the old one, so the kept state would have squared norm 0.8
+        v = uni.build_vector([1.3416407864998738e-10j, 0, 0.8944271909999159j,
+                              0, 0, 0.4472135954999579j, 0, 0])
+        assert norm_squared(uni, v) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(NormDriftError, match="collapsed state") as err:
+            measure_qubit(uni, v, 0, Forced(0.5))
+        assert err.value.deviation == pytest.approx(0.2)
+
     @pytest.mark.parametrize("q", [1.0, "1", None])
     def test_non_integer_qubit_rejected(self, uni, q):
         v = uni.basis_state(2, "01")
@@ -650,6 +707,29 @@ class TestMeasureAll:
         assert [shots(measure_all, seed) for seed in range(8)] == cold
         assert calls == []
         assert [shots(self._walk, seed) for seed in range(8)] == cold
+
+
+class TestMeasuredOperandIsAVector:
+    # a matrix's four successors were read as a vector's two, or as a
+    # probability mass that blamed drift for the wrong operand
+
+    @pytest.fixture
+    def h2(self, uni):
+        return build_gate_dd(uni, 2, GateSpec(GateKind.H, 0))
+
+    def test_qubit_probabilities(self, uni, h2):
+        with pytest.raises(ValueError, match="not a vector diagram"):
+            qubit_probabilities(uni, h2)
+
+    def test_measure_qubit(self, uni, h2):
+        for measure in (measure_top, lambda u, v, r: measure_qubit(u, v, 1, r)):
+            with pytest.raises(ValueError, match="not a vector diagram"):
+                measure(uni, h2, Forced(0.5))
+
+    def test_measure_all(self, uni, h2):
+        with pytest.raises(ValueError, match="not a vector diagram"):
+            measure_all(uni, h2, Forced(0.5))
+        assert measure_all(uni, _one_edge(uni), Forced(0.5)) == ""
 
 
 class TestNormSquared:
