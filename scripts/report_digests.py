@@ -13,7 +13,7 @@ written here from fixed seeds, so both trees read the same inputs:
 before hashing, so two trees that differ only in that statistic, such as
 ``peak_unique_nodes``, print identical lines.
 
-The calls cover 12 random circuits (no, trailing and mid-circuit
+The 56 calls cover 12 random circuits (no, trailing and mid-circuit
 measurement), each at the default GC threshold and at 20; five
 unstructured 10-qubit, 300-gate H/T/CX circuits, each at both
 thresholds, three of which exit 3 with a NormDriftError; two
@@ -22,7 +22,10 @@ are random or certain (0 or 1), each at both thresholds; one 7-qubit
 circuit whose mid-circuit outcomes are certain on the top, a middle and
 the bottom qubit, with superposed qubits around them, at both
 thresholds;
-``--dump-state`` with no, trailing and mid-circuit measurement;
+one 80-qubit circuit of H on every qubit, which exits 3 when the
+per-gate norm check meets the precision wall;
+``--dump-state`` with no ops and with no, trailing and mid-circuit
+measurement;
 ``dot``, ``dot --gate`` (also on a 64-qubit circuit: a CX whose control
 sits 60 qubits above its target, and H on the bottom qubit), four
 ``bench`` runs and one bad input. Exits 1
@@ -165,6 +168,8 @@ def invocations() -> list[list[str]]:
         ["run", "rand00.qdd", "--dump-state"],
         ["run", "rand01.qdd", "--dump-state"],
         ["run", "rand02.qdd", "--dump-state", "--seed", "5"],
+        ["run", "empty.qdd", "--dump-state"],
+        ["run", "hwall.qdd"],
         ["dot", "rand00.qdd"],
         ["dot", "rand02.qdd", "--seed", "3"],
         ["dot", "rand01.qdd", "--gate", "7"],
@@ -203,6 +208,10 @@ def main() -> int:
             f.write(certain_circuit(CERTAIN))
         with open(os.path.join(tmp, "wide.qdd"), "w") as f:
             f.write("qubits 64\ncx 2 62\nh 63\n")
+        with open(os.path.join(tmp, "empty.qdd"), "w") as f:
+            f.write("qubits 3\n")
+        with open(os.path.join(tmp, "hwall.qdd"), "w") as f:
+            f.write("qubits 80\n" + "".join(f"h {q}\n" for q in range(80)))
         with open(os.path.join(tmp, "bad.qdd"), "w") as f:
             f.write("qubits 2\nh 0\ncx 0 5\n")
         for args in invocations():

@@ -18,7 +18,8 @@ from . import __version__
 from .circuit import Circuit, GateOp, ParseError, gen_entangle, gen_grover, \
     gen_qft, parse
 from .dd import Universe, export_dot
-from .engine import EngineConfig, SimStats, run, sample
+from .engine import EngineConfig, SimStats, _collector_paused, _Simulation, \
+    run, sample
 from .gates import build_gate_dd
 from .ops import NormDriftError
 
@@ -138,12 +139,10 @@ def _run_and_report(circuit: Circuit, args: argparse.Namespace) -> int:
     return 0
 
 
+@_collector_paused()
 def _dump_state(circuit: Circuit, cfg: EngineConfig) -> list[list[float]]:
-    from .engine import _collector_paused, _Simulation  # for sim.uni
-    with _collector_paused():
-        sim = _Simulation(circuit, cfg)
-        amps = sim.uni.read_dense(sim.execute(), circuit.n_qubits)
-        del sim  # free the universe before the pause ends
+    sim = _Simulation(circuit, cfg)
+    amps = sim.uni.read_dense(sim.execute(), circuit.n_qubits)
     return [[a.real, a.imag] for a in amps]
 
 

@@ -181,9 +181,14 @@ class Universe:
         edges), as its successors may then sit at any lower heights, as in
         a gate diagram (see qdd.gates): an edge to a lower node is the
         identity on every height it skips, and (w, TERMINAL) is w times
-        the identity on every qubit below."""
+        the identity on every qubit below; (x, 0, 0, x), the identity on
+        the given height, is then x itself, with no node."""
         ct = self.ctab
         zero = ct.zero
+        if height is not None:
+            e00, e01, e10, e11 = edges
+            if e01[0] is zero and e10[0] is zero and e00 == e11:
+                return e00
         zero_edge = self.zero_edge
         d = None
         out = []

@@ -13,7 +13,8 @@ reference counts free what a simulation drops and Universe.gc_collect
 trims the tables. Python's cycle collector would find nothing, yet it
 re-walks every live node as the tables grow, so run and sample pause it
 (process-wide, as the single-owner contract allows) and restore the
-caller's setting when they return or raise.
+caller's setting when they return or raise. They pause it as decorators,
+so a return frees the universe their frame owns first.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .circuit import Circuit, GateOp, MeasureAllOp, MeasureOp
+from .circuit import Circuit, GateOp, MeasureOp
 from .dd import Edge, Universe, count_nodes
 from .gates import GateSpec, _gate_dd
 from .ops import (NormDriftError, PROB_TOL, measure_all, measure_qubit,
@@ -88,14 +89,12 @@ class _Simulation:
                     f"norm drifted to deviation {dev:g} after op {index}"
                     f" ({op.spec.kind.name})", deviation=dev, op_index=index)
         else:
+            qubits = ([op.qubit] if isinstance(op, MeasureOp)
+                      else range(self.circuit.n_qubits))
             try:
-                if isinstance(op, MeasureOp):
-                    _, self.state = measure_qubit(self.uni, self.state,
-                                                  op.qubit, self.rng)
-                elif isinstance(op, MeasureAllOp):
-                    for q in range(self.circuit.n_qubits):
-                        _, self.state = measure_qubit(self.uni, self.state, q,
-                                                      self.rng)
+                for q in qubits:
+                    _, self.state = measure_qubit(self.uni, self.state, q,
+                                                  self.rng)
             except NormDriftError as err:
                 raise NormDriftError(f"{err} (op {index})",
                                      deviation=err.deviation,
@@ -125,8 +124,9 @@ class _Simulation:
 @contextmanager
 def _collector_paused():
     """gc.disable() until exit, then the caller's gc.isenabled() state.
-    Free the universe inside: after gc.enable(), the first allocation
-    traverses every object allocated during the pause that still lives."""
+    As a decorator, returning frees the frame that owns the universe
+    first: after gc.enable(), the first allocation traverses every object
+    allocated during the pause that still lives."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -136,6 +136,7 @@ def _collector_paused():
             gc.enable()
 
 
+@_collector_paused()
 def run(circuit: Circuit, config: EngineConfig | None = None,
         on_op=None) -> tuple[Edge, SimStats]:
     """Execute the circuit once; returns (final state, stats).
@@ -144,26 +145,14 @@ def run(circuit: Circuit, config: EngineConfig | None = None,
     is called after each op, for instrumentation.
     """
     cfg = config if config is not None else EngineConfig()
-    with _collector_paused():
-        t0 = time.perf_counter()
-        sim = _Simulation(circuit, cfg)
-        state, stats = sim.execute(on_op), sim.stats
-        stats.wall_time_ms = (time.perf_counter() - t0) * 1e3
-        del sim  # frees the universe while the collector is paused
+    t0 = time.perf_counter()
+    sim = _Simulation(circuit, cfg)
+    state, stats = sim.execute(on_op), sim.stats
+    stats.wall_time_ms = (time.perf_counter() - t0) * 1e3
     return state, stats
 
 
-def _measures_mid_circuit(circuit: Circuit) -> bool:
-    """True when a gate follows a measurement."""
-    measured = False
-    for op in circuit.ops:
-        if not isinstance(op, GateOp):
-            measured = True
-        elif measured:
-            return True
-    return False
-
-
+@_collector_paused()
 def sample(circuit: Circuit, config: EngineConfig | None = None) -> SimStats:
     """Run with ``config.shots`` repetitions; histogram over full-register
     bitstrings.
@@ -176,15 +165,11 @@ def sample(circuit: Circuit, config: EngineConfig | None = None) -> SimStats:
     cfg = config if config is not None else EngineConfig()
     if cfg.shots < 1:
         raise ValueError(f"shots must be at least 1, got {cfg.shots}")
-    with _collector_paused():
-        return _sample(circuit, cfg)  # its frame owns the universe
-
-
-def _sample(circuit: Circuit, cfg: EngineConfig) -> SimStats:
     t0 = time.perf_counter()
-    resimulate = _measures_mid_circuit(circuit)
+    gates = tuple(op for op in circuit.ops if isinstance(op, GateOp))
+    # a gate follows a measurement exactly when the gates are not a prefix
+    resimulate = any(op is not g for op, g in zip(circuit.ops, gates))
     if not resimulate:
-        gates = tuple(op for op in circuit.ops if isinstance(op, GateOp))
         circuit = Circuit(circuit.n_qubits, gates, circuit.name)
     sim = _Simulation(circuit, cfg)
     histogram = sim.stats.histogram

@@ -8,7 +8,8 @@ core set is X/Z/H plus phases.
 The engine's gate diagram (_gate_dd) is built bottom-up without ever
 forming a dense matrix, in heights (qubit q at n - 1 - q, see qdd.dd),
 with one node per involved qubit: every height the gate does not touch
-is skipped (_gate_node), so the diagram feeds qdd.ops.multiply only.
+is skipped (Universe._make_node, given a height, reduces the identity
+there to the edge below), so the diagram feeds qdd.ops.multiply only.
 Each quadrant track of the base matrix starts as its entry times the
 identity below, a terminal-bound edge; a control below the target gates
 the tracks into e11 (identity in e00), the target joins them, and each
@@ -158,17 +159,6 @@ def _full(uni: Universe, e: tuple, h: int) -> tuple:
     return ct.cmul(w, got[0]), got[1]
 
 
-def _gate_node(uni: Universe, height: int, edges) -> tuple:
-    """The gate-diagram node at ``height`` over four pairs, whose nodes
-    may sit at any lower heights (see Universe._make_node); (x, zero,
-    zero, x), the identity on this height, reduces to x."""
-    e00, e01, e10, e11 = edges
-    zero = uni.ctab.zero
-    if e01[0] is zero and e10[0] is zero and e00 == e11:
-        return e00
-    return uni._make_node(edges, height)
-
-
 def _gate_dd(uni: Universe, n: int, spec: GateSpec) -> tuple:
     """The engine's gate diagram, one node per involved qubit, as a
     (weight, node) pair."""
@@ -196,12 +186,12 @@ def _gate_dd(uni: Universe, n: int, spec: GateSpec) -> tuple:
         if h < target:
             for k, t in enumerate(tracks):
                 if k in (0, 3):
-                    tracks[k] = _gate_node(uni, h, (ident, zero, zero, t))
+                    tracks[k] = uni._make_node((ident, zero, zero, t), h)
                 elif t[0] is not ct.zero:
-                    tracks[k] = _gate_node(uni, h, (zero, zero, zero, t))
-    e = _gate_node(uni, target, tracks)
+                    tracks[k] = uni._make_node((zero, zero, zero, t), h)
+    e = uni._make_node(tracks, target)
     for h in controls:
         if h > target:
-            e = _gate_node(uni, h, (ident, zero, zero, e))
+            e = uni._make_node((ident, zero, zero, e), h)
     uni.cache.gates[n, spec] = e
     return e

@@ -312,9 +312,11 @@ def measure_qubit(uni: Universe, v: Edge, q: int, rng) -> tuple[int, Edge]:
     """Measure qubit q anywhere in the diagram, without SWAP gates.
 
     Projects the state onto outcome 0 and draws against that
-    projection's squared norm like measure_top; the projection onto 1 is
-    built only when 1 is drawn. The projected state is renormalized by
-    its own norm; NormDriftError if the kept state's norm still misses 1.
+    projection's squared norm over the state's, as measure_all splits, so
+    a state whose norm falls short of 1 never draws an impossible
+    outcome; the projection onto 1 is built only when 1 is drawn. The
+    projected state is renormalized by its own norm; NormDriftError if
+    the kept state's norm still misses 1.
     """
     q = _qubit_index(q)
     if v.node is TERMINAL:
@@ -330,7 +332,7 @@ def measure_qubit(uni: Universe, v: Edge, q: int, rng) -> tuple[int, Edge]:
             f"measurement probabilities sum to {total!r}", deviation=dev)
     pv = _project(uni, v, q, 0)
     p = norm_squared(uni, pv)
-    outcome = 0 if rng.random() < p else 1
+    outcome = 0 if rng.random() < p / total else 1
     if outcome:
         pv = _project(uni, v, q, 1)
         p = norm_squared(uni, pv)

@@ -89,6 +89,19 @@ class TestParse:
             parse("qubits 2\nx two\n")
         assert (err.value.line, err.value.col) == (2, 3)
 
+    @pytest.mark.parametrize("text, message", [
+        ("qubits 0\n", "line 1, column 8: qubit count must be positive"),
+        ("qubits 2 3\n", "line 1, column 1: 'qubits' takes one count"),
+        ("qubits 2\np abc 0\n",
+         "line 2, column 3: expected an angle, got 'abc'"),
+        ("qubits 2\nmcx 1\n",
+         "line 2, column 1: 'mcx' needs at least one control and a target"),
+    ], ids=["no-qubits", "two-counts", "bad-angle", "no-control"])
+    def test_malformed_word_message(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
+
     def test_non_finite_angle(self):
         for tok in ("nan", "inf", "-inf", "1e999"):
             with pytest.raises(ParseError, match="finite") as err:

@@ -140,6 +140,15 @@ class TestRunCommand:
         assert code == 3
         assert "norm drift" in err
 
+    def test_precision_wall_exit_3(self, tmp_path, capsys):
+        # the engine's own per-gate check, unstubbed
+        path = write_circuit(tmp_path, "qubits 80\n" + "".join(
+            f"h {q}\n" for q in range(80)))
+        code, out, err = invoke(capsys, "run", path)
+        assert (code, out) == (3, "")
+        assert err == ("norm drift: norm drifted to deviation 1 after op 63"
+                       " (H)\n")
+
     def test_fewer_than_one_shot_exit_2(self, tmp_path, capsys):
         for text in ("qubits 2\nh 0\ncx 0 1\n",
                      "qubits 2\nh 0\nmeasure 0\ncx 0 1\n"):

@@ -294,6 +294,14 @@ class TestMatrices:
         back = dd_matrix_to_array(uni, e, 1)
         assert np.array_equal(back, np.eye(2))
 
+    @pytest.mark.parametrize("rows, message", [
+        (np.eye(3), "dimension 3 is not a power of two"),
+        ([[1, 0], [0]], "matrix is not square")], ids=["3x3", "ragged"])
+    def test_malformed_matrix_rejected(self, uni, rows, message):
+        with pytest.raises(ValueError) as err:
+            uni.build_matrix(rows)
+        assert str(err.value) == message
+
     def test_random_matrix_roundtrip(self, uni):
         rng = np.random.default_rng(7)
         m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))

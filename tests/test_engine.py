@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+import qdd.cli as cli
 import qdd.dd as dd
 import qdd.dense as dense
 from qdd import (TERMINAL, Circuit, Edge, EngineConfig, GateKind, GateOp,
@@ -20,6 +21,7 @@ from _util import (cyclic_garbage, dft_matrix, random_circuit,
 S = 1 / math.sqrt(2)
 
 BELL_MEASURE = "qubits 2\nh 0\ncx 0 1\nmeasure 0\n"
+H_WALL = "qubits 80\n" + "".join(f"h {q}\n" for q in range(80))
 
 
 def state_vector(circuit, config=None):
@@ -132,6 +134,8 @@ class TestSample:
         assert sum(stats.histogram.values()) == 2_000
         # outcomes follow |+/-><0| structure: second bit always 0
         assert all(k.endswith("0") for k in stats.histogram)
+        # without the mid-circuit collapse, H twice would always give 00
+        assert set(stats.histogram) == {"00", "10"}
 
     def test_same_seed_same_histogram(self):
         c = gen_entangle(3)
@@ -267,6 +271,27 @@ class TestNormCheck:
         _, stats = run(gen_qft(8, "10101010"))
         assert stats.final_norm_deviation < 1e-10
 
+    def test_precision_wall_stops_the_run(self):
+        # H on each of 80 qubits takes the amplitudes below the interning
+        # tolerance, so the norm collapses and the per-gate check aborts
+        with pytest.raises(NormDriftError) as err:
+            run(parse(H_WALL))
+        assert str(err.value) == "norm drifted to deviation 1 after op 63 (H)"
+        assert err.value.op_index == 63
+        assert err.value.deviation == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("op", ["measure 1", "measure_all"])
+    def test_measurement_drift_names_the_op(self, op, monkeypatch):
+        import qdd.engine as engine
+
+        def drift(uni, state, q, rng):
+            raise NormDriftError("forced", deviation=0.25)
+        monkeypatch.setattr(engine, "measure_qubit", drift)
+        with pytest.raises(NormDriftError) as err:
+            run(parse(f"qubits 2\nh 0\ncx 0 1\n{op}\nh 0\n"))
+        assert str(err.value) == "forced (op 2)"
+        assert (err.value.op_index, err.value.deviation) == (2, 0.25)
+
 
 class TestCollectorPause:
     MID = TestNodeCountMemo.MID
@@ -300,7 +325,7 @@ class TestCollectorPause:
         finally:
             (gc.enable if was else gc.disable)()
 
-    @pytest.mark.parametrize("entry", [run, sample])
+    @pytest.mark.parametrize("entry", [run, sample, cli._dump_state])
     def test_universe_freed_before_collector_resumes(self, entry,
                                                      monkeypatch):
         import weakref
@@ -320,6 +345,7 @@ class TestCollectorPause:
         was = gc.isenabled()
         gc.enable()
         monkeypatch.setattr(engine, "_Simulation", Recording)
+        monkeypatch.setattr(cli, "_Simulation", Recording)
         monkeypatch.setattr(gc, "enable", checked_enable)
         try:
             entry(parse(self.MID), EngineConfig(shots=5))

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import qdd.dense as dense
-import qdd.gates as gates
 from qdd import (TERMINAL, GateKind, GateSpec, Universe, base2x2,
                  build_gate_dd, count_nodes, gate_dd_for, identity_dd,
                  multiply, norm_squared)
@@ -221,6 +220,11 @@ class TestBuildGateDD:
                 build()
         assert uni.live_nodes == 0
 
+    def test_negative_qubit_count_rejected(self, uni):
+        with pytest.raises(ValueError) as err:
+            identity_dd(uni, -1)
+        assert str(err.value) == "qubit count must be nonnegative"
+
     def test_numpy_integer_qubit_count_accepted(self, uni):
         spec = GateSpec(GateKind.X, 0)
         assert build_gate_dd(uni, np.int64(2), spec) == build_gate_dd(
@@ -395,7 +399,7 @@ class TestEngineGateDD:
         ct = uni.ctab
         x = (ct.intern(0.5j), TERMINAL)
         z = uni.zero_edge
-        assert gates._gate_node(uni, 3, (x, z, z, x)) == x
+        assert uni._make_node((x, z, z, x), 3) == x
         # controls whose e00 and e11 agree add no node: a zero phase is
         # the identity, and cz's |0> track below its target is too
         phase0 = GateSpec(GateKind.PHASE, 1, frozenset({0, 4}), 0.0)

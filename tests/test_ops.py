@@ -458,6 +458,17 @@ class TestMeasureQubit:
         v = uni.basis_state(2, "01")
         assert measure_qubit(uni, v, np.int64(1), Forced(0.5)) == (1, v)
 
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_short_norm_never_draws_the_impossible_outcome(self, uni, bit):
+        # squared norm 1 - 5e-9 passes the entry check; a draw between it
+        # and 1 must still give the one possible outcome
+        amps = [0, 0]
+        amps[bit] = math.sqrt(1 - 5e-9)
+        outcome, post = measure_qubit(uni, uni.build_vector(amps), 0,
+                                      Forced(0.999999999))
+        assert outcome == bit
+        assert post == uni.basis_state(1, str(bit))
+
 
 def _by_value(edge):
     """An edge as nested tuples of weight components and node heights."""
@@ -663,6 +674,12 @@ class TestMeasureAll:
                         for k in set(counts) | set(probs))
         assert tvd < 0.01
 
+    def test_norm_drift_detected(self, uni):
+        with pytest.raises(NormDriftError) as err:
+            measure_all(uni, uni.build_vector([1, 1]), Forced(0.5))
+        assert str(err.value) == "state norm is 2.0"
+        assert err.value.deviation == 1.0
+
     def test_same_seed_same_sequence(self, uni):
         bell = uni.build_vector([S, 0, 0, S])
         seq1 = [measure_all(uni, bell, random.Random(5)) for _ in range(20)]
@@ -730,6 +747,15 @@ class TestMeasuredOperandIsAVector:
         with pytest.raises(ValueError, match="not a vector diagram"):
             measure_all(uni, h2, Forced(0.5))
         assert measure_all(uni, _one_edge(uni), Forced(0.5)) == ""
+
+    @pytest.mark.parametrize("measure", [
+        qubit_probabilities,
+        lambda uni, v: measure_qubit(uni, v, 0, Forced(0.5))],
+        ids=["qubit_probabilities", "measure_qubit"])
+    def test_terminal_root_has_no_qubits(self, uni, measure):
+        with pytest.raises(ValueError) as err:
+            measure(uni, _one_edge(uni))
+        assert str(err.value) == "state has no qubits to measure"
 
 
 class TestNormSquared:
