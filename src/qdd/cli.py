@@ -18,10 +18,13 @@ from . import __version__
 from .circuit import Circuit, GateOp, ParseError, gen_entangle, gen_grover, \
     gen_qft, parse
 from .dd import Universe, export_dot
-from .engine import EngineConfig, SimStats, _collector_paused, _Simulation, \
+from .engine import EngineConfig, SimStats, _collector_paused, _execute, \
     run, sample
 from .gates import build_gate_dd
 from .ops import NormDriftError
+
+# a gate diagram has a node per qubit, so its DOT text grows with n
+DOT_GATE_MAX_QUBITS = 10_000
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -141,9 +144,10 @@ def _run_and_report(circuit: Circuit, args: argparse.Namespace) -> int:
 
 @_collector_paused()
 def _dump_state(circuit: Circuit, cfg: EngineConfig) -> list[list[float]]:
-    sim = _Simulation(circuit, cfg)
-    amps = sim.uni.read_dense(sim.execute(), circuit.n_qubits)
-    return [[a.real, a.imag] for a in amps]
+    uni, n = Universe(), circuit.n_qubits
+    state = _execute(uni, n, circuit.ops, random.Random(cfg.seed),
+                     SimStats(), cfg.gc_threshold)
+    return [[a.real, a.imag] for a in uni.read_dense(state, n)]
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -170,17 +174,20 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_dot(args: argparse.Namespace) -> int:
     circuit = _load_circuit(args.file)
-    with _recursion_guard(circuit.n_qubits):
-        if args.gate is None:
+    n = circuit.n_qubits
+    if args.gate is None:
+        with _recursion_guard(n):
             edge, _ = run(circuit, EngineConfig(seed=args.seed))
-        else:
-            gate_ops = [op for op in circuit.ops if isinstance(op, GateOp)]
-            if not 0 <= args.gate < len(gate_ops):
-                print(f"gate index {args.gate} out of range "
-                      f"({len(gate_ops)} gate ops)", file=sys.stderr)
-                return 2
-            spec = gate_ops[args.gate].spec
-            edge = build_gate_dd(Universe(), circuit.n_qubits, spec)
+    else:
+        if n > DOT_GATE_MAX_QUBITS:
+            raise ValueError(f"dot --gate renders at most "
+                             f"{DOT_GATE_MAX_QUBITS} qubits, got {n}")
+        gate_ops = [op for op in circuit.ops if isinstance(op, GateOp)]
+        if not 0 <= args.gate < len(gate_ops):
+            print(f"gate index {args.gate} out of range "
+                  f"({len(gate_ops)} gate ops)", file=sys.stderr)
+            return 2
+        edge = build_gate_dd(Universe(), n, gate_ops[args.gate].spec)
     print(export_dot(edge))
     return 0
 

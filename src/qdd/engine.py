@@ -1,12 +1,12 @@
 """Circuit execution: gate application, measurement, statistics.
 
-One run owns one Universe (and therefore one complex table, one unique
-table, one compute cache); concurrent simulations need disjoint engines.
-The state starts as |0...0>, every gate goes through a diagram
-multiplication, and the squared norm is checked against 1 after each one.
-Node statistics are sampled at op boundaries, where they are
-well-defined, so identical configs reproduce identical stats (modulo
-wall time).
+_execute runs one pass over the ops; its caller owns the Universe (one
+complex table, one unique table, one compute cache), the RNG and the
+stats, and concurrent simulations need disjoint universes. The state
+starts as |0...0>, every gate goes through a diagram multiplication, and
+the squared norm is checked against 1 after each one. Node statistics
+are sampled at op boundaries, where they are well-defined, so identical
+configs reproduce identical stats (modulo wall time).
 
 Diagrams are acyclic and the diagram code makes no reference cycles, so
 reference counts free what a simulation drops and Universe.gc_collect
@@ -58,67 +58,49 @@ def gate_dd_for(uni: Universe, n: int, spec: GateSpec, cache: dict) -> Edge:
     return edge
 
 
-class _Simulation:
-    """One Universe and RNG, shared by every pass over the ops.
+def _execute(uni: Universe, n: int, ops, rng: random.Random,
+             stats: SimStats, gc_threshold: int, on_op=None) -> Edge:
+    """One pass over ``ops`` from |0...0>; returns the final state.
 
-    Peak stats accumulate over all passes; ``gates_applied`` and the final
-    norm deviation describe the latest pass.
+    A pass resets ``stats.gates_applied`` and the final norm deviation;
+    the peak stats accumulate over every pass that shares ``stats``, as
+    the universe and the RNG stream carry over between passes.
+    ``on_op(uni, state, i)`` is called after each op.
     """
+    def note_peaks() -> None:
+        stats.peak_vector_nodes = max(stats.peak_vector_nodes,
+                                      count_nodes(state))
+        stats.peak_unique_nodes = max(stats.peak_unique_nodes,
+                                      uni.live_nodes)
 
-    def __init__(self, circuit: Circuit, config: EngineConfig):
-        self.circuit = circuit
-        self.config = config
-        self.uni = Universe()
-        self.rng = random.Random(config.seed)
-        self.stats = SimStats()
-
-    def _note_state(self) -> None:
-        st = self.stats
-        st.peak_vector_nodes = max(st.peak_vector_nodes,
-                                   count_nodes(self.state))
-        st.peak_unique_nodes = max(st.peak_unique_nodes, self.uni.live_nodes)
-
-    def _apply(self, op, index: int) -> None:
+    state = uni.basis_state(n, "0" * n)
+    stats.gates_applied = 0
+    note_peaks()
+    for index, op in enumerate(ops):
         if isinstance(op, GateOp):
-            gate = _gate_dd(self.uni, self.circuit.n_qubits, op.spec)
-            self.state = multiply(self.uni, gate, self.state)
-            self.stats.gates_applied += 1
-            dev = abs(norm_squared(self.uni, self.state) - 1.0)
+            state = multiply(uni, _gate_dd(uni, n, op.spec), state)
+            stats.gates_applied += 1
+            dev = abs(norm_squared(uni, state) - 1.0)
             if dev > PROB_TOL:
                 raise NormDriftError(
                     f"norm drifted to deviation {dev:g} after op {index}"
                     f" ({op.spec.kind.name})", deviation=dev, op_index=index)
         else:
-            qubits = ([op.qubit] if isinstance(op, MeasureOp)
-                      else range(self.circuit.n_qubits))
+            qubits = [op.qubit] if isinstance(op, MeasureOp) else range(n)
             try:
                 for q in qubits:
-                    _, self.state = measure_qubit(self.uni, self.state, q,
-                                                  self.rng)
+                    _, state = measure_qubit(uni, state, q, rng)
             except NormDriftError as err:
                 raise NormDriftError(f"{err} (op {index})",
                                      deviation=err.deviation,
                                      op_index=index) from None
-
-    def _maybe_gc(self) -> None:
-        if self.uni.live_nodes > self.config.gc_threshold:
-            self.uni.gc_collect([self.state])
-
-    def execute(self, on_op=None) -> Edge:
-        """One pass over the circuit's ops, starting from |0...0>."""
-        n = self.circuit.n_qubits
-        self.state = self.uni.basis_state(n, "0" * n)
-        self.stats.gates_applied = 0
-        self._note_state()
-        for index, op in enumerate(self.circuit.ops):
-            self._apply(op, index)
-            self._note_state()
-            if on_op is not None:
-                on_op(self.uni, self.state, index)
-            self._maybe_gc()
-        self.stats.final_norm_deviation = abs(
-            norm_squared(self.uni, self.state) - 1.0)
-        return self.state
+        note_peaks()
+        if on_op is not None:
+            on_op(uni, state, index)
+        if uni.live_nodes > gc_threshold:
+            uni.gc_collect([state])
+    stats.final_norm_deviation = abs(norm_squared(uni, state) - 1.0)
+    return state
 
 
 @contextmanager
@@ -146,8 +128,9 @@ def run(circuit: Circuit, config: EngineConfig | None = None,
     """
     cfg = config if config is not None else EngineConfig()
     t0 = time.perf_counter()
-    sim = _Simulation(circuit, cfg)
-    state, stats = sim.execute(on_op), sim.stats
+    stats = SimStats()
+    state = _execute(Universe(), circuit.n_qubits, circuit.ops,
+                     random.Random(cfg.seed), stats, cfg.gc_threshold, on_op)
     stats.wall_time_ms = (time.perf_counter() - t0) * 1e3
     return state, stats
 
@@ -169,14 +152,13 @@ def sample(circuit: Circuit, config: EngineConfig | None = None) -> SimStats:
     gates = tuple(op for op in circuit.ops if isinstance(op, GateOp))
     # a gate follows a measurement exactly when the gates are not a prefix
     resimulate = any(op is not g for op, g in zip(circuit.ops, gates))
-    if not resimulate:
-        circuit = Circuit(circuit.n_qubits, gates, circuit.name)
-    sim = _Simulation(circuit, cfg)
-    histogram = sim.stats.histogram
+    ops = circuit.ops if resimulate else gates
+    uni, rng, stats = Universe(), random.Random(cfg.seed), SimStats()
     for shot in range(cfg.shots):
         if shot == 0 or resimulate:
-            sim.execute()
-        bits = measure_all(sim.uni, sim.state, sim.rng)
-        histogram[bits] = histogram.get(bits, 0) + 1
-    sim.stats.wall_time_ms = (time.perf_counter() - t0) * 1e3
-    return sim.stats
+            state = _execute(uni, circuit.n_qubits, ops, rng, stats,
+                             cfg.gc_threshold)
+        bits = measure_all(uni, state, rng)
+        stats.histogram[bits] = stats.histogram.get(bits, 0) + 1
+    stats.wall_time_ms = (time.perf_counter() - t0) * 1e3
+    return stats

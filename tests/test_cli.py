@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -232,8 +233,8 @@ class TestRunCommand:
         path = write_circuit(tmp_path, HUGE)
         code, out, err = invoke(capsys, "dot", path, "--gate", "0")
         assert code == 2 and out == ""
-        assert err == ("error: 99999999999 qubits exceed the recursion "
-                       "depth of the diagram operations\n")
+        assert err == ("error: dot --gate renders at most 10000 qubits, "
+                       "got 99999999999\n")
 
     def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
@@ -292,6 +293,19 @@ class TestBenchCommand:
         assert code == 0
         assert json.loads(out)["circuit"]["qubits"] == 6
 
+    def test_qft_input_drawn_from_seed(self, capsys):
+        # --dump-state pins the input: the amplitudes' phases depend on it
+        drawn = "".join(random.Random(7).choice("01") for _ in range(5))
+        reports = []
+        for extra in ((), ("--input", drawn), ("--input", "01111")):
+            code, out, _ = invoke(capsys, "bench", "qft", "5", "--seed", "7",
+                                  "--shots", "40", "--dump-state", *extra)
+            assert code == 0
+            report = json.loads(out)
+            report["stats"].pop("wall_time_ms")
+            reports.append(report)
+        assert reports[0] == reports[1] != reports[2]
+
     def test_grover_marked(self, capsys):
         code, out, _ = invoke(capsys, "bench", "grover", "6",
                               "--marked", "110010", "--shots", "50")
@@ -337,6 +351,13 @@ class TestDotCommand:
         code, out, _ = invoke(capsys, "dot", path, "--gate", "1")
         assert code == 0
         assert out == DOT_CX
+
+    def test_gate_rendering_deeper_than_recursion_limit(self, tmp_path,
+                                                         capsys):
+        path = write_circuit(tmp_path, DEEP)
+        code, out, _ = invoke(capsys, "dot", path, "--gate", "1")
+        assert code == 0
+        assert out.startswith("digraph dd {")
 
     def test_gate_index_out_of_range(self, tmp_path, capsys):
         path = write_circuit(tmp_path, "qubits 1\nh 0\n")

@@ -10,8 +10,8 @@ import qdd.cli as cli
 import qdd.dd as dd
 import qdd.dense as dense
 from qdd import (TERMINAL, Circuit, Edge, EngineConfig, GateKind, GateOp,
-                 GateSpec, MeasureAllOp, NormDriftError, Universe, add,
-                 build_gate_dd, count_nodes, gate_dd_for, gen_entangle,
+                 GateSpec, MeasureAllOp, NormDriftError, SimStats, Universe,
+                 add, build_gate_dd, count_nodes, gate_dd_for, gen_entangle,
                  gen_qft, identity_dd, kron, measure_qubit, measure_top,
                  multiply, parse, run, sample)
 
@@ -26,10 +26,12 @@ H_WALL = "qubits 80\n" + "".join(f"h {q}\n" for q in range(80))
 
 def state_vector(circuit, config=None):
     """Run and read back the final amplitudes (test convenience)."""
-    from qdd.engine import _Simulation
-    sim = _Simulation(circuit, config or EngineConfig())
-    state = sim.execute()
-    return np.array(sim.uni.read_dense(state, circuit.n_qubits)), sim.stats
+    from qdd.engine import _execute
+    cfg = config or EngineConfig()
+    uni, stats = Universe(), SimStats()
+    state = _execute(uni, circuit.n_qubits, circuit.ops,
+                     random.Random(cfg.seed), stats, cfg.gc_threshold)
+    return np.array(uni.read_dense(state, circuit.n_qubits)), stats
 
 
 class TestRun:
@@ -212,28 +214,29 @@ class TestNodeCountMemo:
 
     def test_each_distinct_state_counted_once(self, monkeypatch):
         import qdd.dd as dd
-        from qdd.engine import _Simulation
+        from qdd.engine import _execute
         walked = []
         reachable = dd._reachable
         monkeypatch.setattr(dd, "_reachable", lambda roots: walked.extend(
             r.node for r in roots) or reachable(roots))
-        sim = _Simulation(parse(self.MID), EngineConfig(seed=3))
+        c = parse(self.MID)
+        uni, rng, stats = Universe(), random.Random(3), SimStats()
         per_op = []
         for _ in range(40):
-            sim.execute(lambda uni, state, i: per_op.append(
-                len(reachable((state,)))))
+            _execute(uni, c.n_qubits, c.ops, rng, stats, 1_000_000,
+                     lambda uni, state, i: per_op.append(
+                         len(reachable((state,)))))
         assert len(walked) == len(set(walked)) < len(per_op) / 4
-        assert sim.stats.peak_vector_nodes == max(per_op)
+        assert stats.peak_vector_nodes == max(per_op)
 
     def test_memo_dropped_when_gc_fires(self):
-        from qdd.engine import _Simulation
-        sims = [_Simulation(parse(self.MID), EngineConfig(seed=3,
-                                                          gc_threshold=t))
-                for t in (0, 1_000_000)]
-        for sim in sims:
+        from qdd.engine import _execute
+        c = parse(self.MID)
+        collected, gc_free = SimStats(), SimStats()
+        for stats, threshold in ((collected, 0), (gc_free, 1_000_000)):
+            uni, rng = Universe(), random.Random(3)
             for _ in range(10):
-                sim.execute()
-        collected, gc_free = (sim.stats for sim in sims)
+                _execute(uni, c.n_qubits, c.ops, rng, stats, threshold)
         assert collected.peak_vector_nodes == gc_free.peak_vector_nodes
         assert collected.peak_unique_nodes < gc_free.peak_unique_nodes
 
@@ -332,10 +335,10 @@ class TestCollectorPause:
         import qdd.engine as engine
         universes, alive_at_enable = [], []
 
-        class Recording(engine._Simulation):
-            def __init__(self, *args):
-                super().__init__(*args)
-                universes.append(weakref.ref(self.uni))
+        class Recording(Universe):
+            def __init__(self):
+                super().__init__()
+                universes.append(weakref.ref(self))
 
         enable = gc.enable
 
@@ -344,8 +347,8 @@ class TestCollectorPause:
             enable()
         was = gc.isenabled()
         gc.enable()
-        monkeypatch.setattr(engine, "_Simulation", Recording)
-        monkeypatch.setattr(cli, "_Simulation", Recording)
+        monkeypatch.setattr(engine, "Universe", Recording)
+        monkeypatch.setattr(cli, "Universe", Recording)
         monkeypatch.setattr(gc, "enable", checked_enable)
         try:
             entry(parse(self.MID), EngineConfig(shots=5))
