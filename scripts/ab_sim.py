@@ -10,16 +10,20 @@ workload's jobs with its tree's perfbench/workloads.py and runs
 reports the summed ``wall_time_ms`` of the jobs and the process time of
 the ``sample`` calls (which includes freeing each universe). A job that
 ends in NormDriftError counts as failed; its process time is kept, and it
-has no ``wall_time_ms``.
+has no ``wall_time_ms``. At its end the child also reads its own peak
+resident set size (``ru_maxrss``, in KiB on Linux), reported in MiB as
+``rss_mib``: the high-water mark of the whole child, its interpreter and
+imports included.
 
 Unlike perfbench's CLI children, this leaves out interpreter start-up,
 imports and circuit parsing, so small differences in the simulation
 itself are not drowned out by them. Both trees must draw the same jobs;
 the run stops if their inputs differ. The output gives one line per round,
-then per tree the median and quartiles of both times and the failed
-count of every round, the rounds in which B was faster than A, and
-whether the two trees' histograms and stats matched: "results
-identical" only if every round of both trees gave the same digest.
+then per tree the median and quartiles of both times and of the peak
+RSS and the failed count of every round, the rounds in which B was
+faster than A and those in which B's peak RSS was lower, and whether
+the two trees' histograms and stats matched: "results identical" only
+if every round of both trees gave the same digest.
 ``--mask KEY`` (repeatable) leaves the stat ``KEY`` out of that
 comparison, so two trees that differ only in it, such as
 ``peak_unique_nodes``, read as identical.
@@ -35,7 +39,7 @@ import subprocess
 import sys
 
 CHILD = r"""
-import hashlib, json, sys, time
+import hashlib, json, resource, sys, time
 tree, masked = sys.argv[1], ["wall_time_ms", *json.loads(sys.argv[4])]
 sys.path[:0] = [tree + "/src", tree + "/perfbench"]
 import qdd
@@ -62,7 +66,9 @@ for job in make_jobs(sys.argv[2], int(sys.argv[3])):
             setattr(stats, key, None)
         results.update(repr(stats).encode())
     cpu_s += time.process_time() - t
-print(json.dumps({"wall_ms": wall_ms, "cpu_s": cpu_s, "failed": failed,
+rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"wall_ms": wall_ms, "cpu_s": cpu_s, "rss_mib": rss_mib,
+                  "failed": failed,
                   "inputs": inputs.hexdigest(),
                   "results": results.hexdigest()}))
 """
@@ -110,18 +116,21 @@ def main(argv: list[str] | None = None) -> int:
         if a["inputs"] != b["inputs"]:
             sys.exit("the two trees drew different jobs")
         print(f"round {r}: wall_ms A {a['wall_ms']:.1f} B {b['wall_ms']:.1f}"
-              f"  cpu_s A {a['cpu_s']:.3f} B {b['cpu_s']:.3f}", flush=True)
+              f"  cpu_s A {a['cpu_s']:.3f} B {b['cpu_s']:.3f}"
+              f"  rss_mib A {a['rss_mib']:.1f} B {b['rss_mib']:.1f}",
+              flush=True)
     for side in "AB":
-        for key in ("wall_ms", "cpu_s"):
+        for key in ("wall_ms", "cpu_s", "rss_mib"):
             q1, med, q3 = quartiles([run[key] for run in runs[side]])
             print(f"{side} {trees[side]}: {key} median {med:.4g} "
                   f"(quartiles {q1:.4g}-{q3:.4g})")
         failed = " ".join(str(run["failed"]) for run in runs[side])
         print(f"{side} {trees[side]}: failed per round {failed} "
               f"of the workload's jobs")
-    for key in ("wall_ms", "cpu_s"):
+    for key, better in (("wall_ms", "faster"), ("cpu_s", "faster"),
+                        ("rss_mib", "lower")):
         wins = sum(b[key] < a[key] for a, b in zip(runs["A"], runs["B"]))
-        print(f"B faster on {key} in {wins} of {args.rounds} rounds")
+        print(f"B {better} on {key} in {wins} of {args.rounds} rounds")
     same = len({run["results"] for side in "AB" for run in runs[side]}) == 1
     print("results identical" if same else "results differ")
     return 0

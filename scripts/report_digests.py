@@ -13,7 +13,7 @@ written here from fixed seeds, so both trees read the same inputs:
 before hashing, so two trees that differ only in that statistic, such as
 ``peak_unique_nodes``, print identical lines.
 
-The 56 calls cover 12 random circuits (no, trailing and mid-circuit
+The 57 calls cover 12 random circuits (no, trailing and mid-circuit
 measurement), each at the default GC threshold and at 20; five
 unstructured 10-qubit, 300-gate H/T/CX circuits, each at both
 thresholds, three of which exit 3 with a NormDriftError; two
@@ -27,7 +27,8 @@ per-gate norm check meets the precision wall;
 ``--dump-state`` with no ops and with no, trailing and mid-circuit
 measurement;
 ``dot``, ``dot --gate`` (also on a 64-qubit circuit: a CX whose control
-sits 60 qubits above its target, and H on the bottom qubit), four
+sits 60 qubits above its target, and H on the bottom qubit, and on a
+1,200-qubit CX deeper than the recursion limit), four
 ``bench`` runs and one bad input. Exits 1
 if any call ends in a traceback or an undocumented exit code.
 """
@@ -176,6 +177,7 @@ def invocations() -> list[list[str]]:
         ["dot", "rand03.qdd", "--gate", "12"],
         ["dot", "wide.qdd", "--gate", "0"],
         ["dot", "wide.qdd", "--gate", "1"],
+        ["dot", "deep.qdd", "--gate", "1"],
         ["bench", "entangle", "40", "--shots", "10"],
         ["bench", "qft", "12", "--seed", "4", "--shots", "50"],
         ["bench", "qft", "48", "--seed", "1", "--shots", "20"],
@@ -208,6 +210,8 @@ def main() -> int:
             f.write(certain_circuit(CERTAIN))
         with open(os.path.join(tmp, "wide.qdd"), "w") as f:
             f.write("qubits 64\ncx 2 62\nh 63\n")
+        with open(os.path.join(tmp, "deep.qdd"), "w") as f:
+            f.write("qubits 1200\nh 0\ncx 0 1199\n")
         with open(os.path.join(tmp, "empty.qdd"), "w") as f:
             f.write("qubits 3\n")
         with open(os.path.join(tmp, "hwall.qdd"), "w") as f:

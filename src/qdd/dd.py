@@ -15,11 +15,12 @@ e01 is the upper-right quadrant. An entry is the product of the edge
 weights along its root-to-terminal path.
 
 Both kinds share one Node type. Inside the package an edge is a plain
-(weight, node) pair, read by unpacking: node successors, recursion
-results and cache values are pairs, and the pair a node stores is its
-unique-table key. Edge is the public, named view of a pair; every
-exported function returns one, and Node.edges views a node's pairs.
-Edges compare and hash as their pairs do. Universe.make_node reduces and
+(weight, node) pair, read by unpacking: recursion results and cache
+values are pairs. A node stores its successors inline, as one flat tuple
+(w0, n0, w1, n1) or (w00, n00, ..., w11, n11), its unique-table key.
+Edge is the public, named view of a pair; every exported function
+returns one, and Node.edges views a node's successors as Edges. Edges
+compare and hash as their pairs do. Universe.make_node reduces and
 normalizes both kinds:
 
 * structurally identical nodes are shared through one unique table (a
@@ -67,14 +68,16 @@ TERMINAL = Terminal()
 class Node:
     """A nonterminal: its height and successors, two for a vector node
     (e0, e1) and four for a matrix node (e00, e01, e10, e11). ``succ``
-    holds them as (weight, node) pairs, the node's unique-table key;
-    ``edges`` returns them as Edge views. ``size`` and ``levels`` memoize
-    count_nodes and qdd.ops._levels; a node's successors never change, so
-    neither memo goes stale."""
+    holds them as one flat tuple, (w0, n0, w1, n1) or (w00, n00, w01,
+    n01, w10, n10, w11, n11), the node's unique-table key (an engine
+    gate node's key is (height, succ)); ``edges`` returns them as Edge
+    views. ``size`` and ``levels`` memoize count_nodes and
+    qdd.ops._levels; a node's successors never change, so neither memo
+    goes stale."""
 
     __slots__ = ("height", "succ", "idx", "size", "levels")
 
-    def __init__(self, height: int, succ: tuple[tuple, ...], idx: int):
+    def __init__(self, height: int, succ: tuple, idx: int):
         self.height = height
         self.succ = succ
         self.idx = idx
@@ -83,7 +86,8 @@ class Node:
 
     @property
     def edges(self) -> tuple["Edge", ...]:
-        return tuple(Edge(*e) for e in self.succ)
+        s = self.succ
+        return tuple(map(Edge, s[::2], s[1::2]))
 
     def __repr__(self) -> str:
         return f"<Node h{self.height} #{self.idx}>"
@@ -128,11 +132,12 @@ class Universe:
 
     Holds the complex table, the unique table, the compute cache (which
     gc_collect drops, so that no swept node is reused) and the shared zero
-    edge. Nodes are keyed by their edge tuple alone (a pair for a vector
-    node, a 4-tuple for a matrix node), so both kinds share the table
-    without colliding, except the engine's gate nodes, keyed by (height,
-    edges), so a gate node is not the entry under its own edges, which
-    is how add, kron and read_matrix_entry tell one apart and reject it;
+    edge. Nodes are keyed by their flat successor tuple alone (a 4-tuple
+    for a vector node, an 8-tuple for a matrix node), so both kinds share
+    the table without colliding, except the engine's gate nodes, keyed by
+    (height, succ), so a gate node is not the entry under its own
+    successors, which is how add, kron and read_matrix_entry tell one
+    apart and reject it;
     its size is the live node count. Every node is built by _make_node,
     the pair core of make_node, which normalizes and deduplicates.
     """
@@ -160,13 +165,15 @@ class Universe:
         vector node (e0, e1), four for a matrix node (e00, e01, e10, e11),
         whose nonzero successors must share a height, one below the node's;
         a successor of the other kind, or an engine gate diagram (see
-        _check_root), raises ValueError.
+        _check_root), or any other count of edges, raises ValueError.
 
         The first nonzero weight becomes the returned edge's weight; the
         node keeps the interned 1 there and every later weight divided
         through it. Zero weights, and ratios that intern to zero, become
         the zero edge; all-zero operands return it.
         """
+        if len(edges) not in (2, 4):
+            raise ValueError(f"make_node takes 2 or 4 edges, got {len(edges)}")
         heights = [nd.height for w, nd in edges if w is not self.ctab.zero]
         for h in heights:
             if h != heights[0]:
@@ -178,7 +185,7 @@ class Universe:
     def _make_node(self, edges, height: int | None = None) -> tuple:
         """make_node over pairs, without its checks, returning a pair. A
         given ``height`` places the node there and keys it by (height,
-        edges), as its successors may then sit at any lower heights, as in
+        succ), as its successors may then sit at any lower heights, as in
         a gate diagram (see qdd.gates): an edge to a lower node is the
         identity on every height it skips, and (w, TERMINAL) is w times
         the identity on every qubit below; (x, 0, 0, x), the identity on
@@ -189,21 +196,23 @@ class Universe:
             e00, e01, e10, e11 = edges
             if e01[0] is zero and e10[0] is zero and e00 == e11:
                 return e00
-        zero_edge = self.zero_edge
         d = None
         out = []
         for w, node in edges:
             if w is zero:
-                out.append(zero_edge)
+                node = TERMINAL
             elif d is None:
                 d = w
                 below = node.height
-                out.append((ct.one, node))
+                w = ct.one
             else:
-                r = ct.cdiv(w, d)
-                out.append(zero_edge if r is zero else (r, node))
+                w = ct.cdiv(w, d)
+                if w is zero:
+                    node = TERMINAL
+            out.append(w)
+            out.append(node)
         if d is None:
-            return zero_edge
+            return self.zero_edge
         succ = tuple(out)
         if height is None:
             key, height = succ, below + 1
@@ -244,15 +253,16 @@ class Universe:
 
     def _check_root(self, e: tuple, arity: int = 0) -> None:
         """Reject a root of the other kind than ``arity`` asks for (2, a
-        vector; 4, a matrix; 0, either; the terminal is neither), and a
-        matrix root that is not its own unique-table entry."""
+        vector, whose flat successor tuple counts 4; 4, a matrix, counting
+        8; 0, either; the terminal is neither), and a matrix root that is
+        not its own unique-table entry."""
         node = e[1]
         if node is TERMINAL:
             return
-        if arity and len(node.succ) != arity:
+        if arity and len(node.succ) != 2 * arity:
             kind = "vector" if arity == 2 else "matrix"
             raise ValueError(f"not a {kind} diagram")
-        if len(node.succ) == 4 and self._table.get(node.succ) is not node:
+        if len(node.succ) == 8 and self._table.get(node.succ) is not node:
             raise ValueError("not a full matrix diagram: an engine gate "
                              "diagram (build_gate_dd gives the full one), or "
                              "one that gc_collect swept")
@@ -299,8 +309,9 @@ class Universe:
         node = e.node
         while node is not TERMINAL and w != 0:
             h = node.height
-            ew, node = node.succ[((row >> h) & 1) * 2 + ((col >> h) & 1)]
-            w *= ew
+            i = ((row >> h) & 1) * 4 + ((col >> h) & 1) * 2
+            w *= node.succ[i]
+            node = node.succ[i + 1]
         return w
 
     # -- garbage collection ----------------------------------------------
@@ -354,9 +365,9 @@ def _fill_dense(out: list[complex], edge: tuple, offset: int,
     if node is TERMINAL:
         out[offset] = w
         return
-    half = 1 << node.height
-    _fill_dense(out, node.succ[0], offset, w)
-    _fill_dense(out, node.succ[1], offset + half, w)
+    w0, n0, w1, n1 = node.succ
+    _fill_dense(out, (w0, n0), offset, w)
+    _fill_dense(out, (w1, n1), offset + (1 << node.height), w)
 
 
 def _reachable(roots: Iterable[Edge]) -> dict[Node, None]:
@@ -371,7 +382,7 @@ def _reachable(roots: Iterable[Edge]) -> dict[Node, None]:
         if node is TERMINAL or node in seen:
             continue
         seen[node] = None
-        for _, nxt in node.succ:
+        for nxt in node.succ[1::2]:
             if nxt is not TERMINAL:
                 stack.append(nxt)
     return seen

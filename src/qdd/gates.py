@@ -150,7 +150,8 @@ def _full(uni: Universe, e: tuple, h: int) -> tuple:
         if got is None:
             got = memo[node, k] = (
                 (ct.one, TERMINAL) if node is TERMINAL else
-                uni._make_node([_full(uni, x, node.height) for x in node.succ]))
+                uni._make_node([_full(uni, x, node.height) for x in
+                                zip(node.succ[::2], node.succ[1::2])]))
         while k < h:
             k += 1
             below, got = got, memo.get((node, k))

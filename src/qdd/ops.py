@@ -44,7 +44,7 @@ class NormDriftError(RuntimeError):
 
 def _arity(e: tuple) -> int:
     """2 for a vector root, 4 for a matrix root, 0 for the terminal."""
-    return 0 if e[1] is TERMINAL else len(e[1].succ)
+    return 0 if e[1] is TERMINAL else len(e[1].succ) // 2
 
 
 def _edge(uni: Universe, w: ComplexValue, node) -> tuple:
@@ -83,8 +83,9 @@ def _kron_rebuild(uni: Universe, memo: dict, node, below):
     if got is not None:
         return got
     zero = uni.ctab.zero
+    s = node.succ
     edges = [(w, nxt if w is zero else _kron_rebuild(uni, memo, nxt, below))
-             for w, nxt in node.succ]
+             for w, nxt in zip(s[::2], s[1::2])]
     # weights were normalized already, so no factor comes back up
     res = memo[node] = uni._make_node(edges)[1]
     return res
@@ -129,10 +130,12 @@ def _add(uni: Universe, p: tuple, q: tuple) -> tuple:
     hit = cache.add.get(key)
     if hit is None:
         parts = []
-        for pe, qe in zip(pn.succ, qn.succ):
+        ps, qs = pn.succ, qn.succ
+        for i in range(0, len(ps), 2):
+            qe = qs[i], qs[i + 1]
             if qe[0] is not ct.zero:
                 qe = _edge(uni, ct.cmul(ratio, qe[0]), qe[1])
-            parts.append(_add(uni, pe, qe))
+            parts.append(_add(uni, (ps[i], ps[i + 1]), qe))
         hit = cache.add[key] = uni._make_node(parts)
     return _edge(uni, ct.cmul(pw, hit[0]), hit[1])
 
@@ -172,35 +175,42 @@ def _mul_nodes(uni: Universe, un, vn) -> tuple:
     if hit is not None:
         return hit
     zero = ct.zero
-    u00, u01, u10, u11 = un.succ
+    a, an, b, bn, c, cn, d, dn = un.succ
     # diag(x, x) is the identity on its height, so it acts as x on the
     # heights below, as a height that a gate diagram skips does; x's
     # weight is the interned 1, the first nonzero weight of a node
-    while u01[0] is zero and u10[0] is zero and u00 == u11:
-        un = u00[1]
+    while b is zero and c is zero and an is dn and a == d:
+        un = an
         if un is TERMINAL:
             return ct.one, vn
-        u00, u01, u10, u11 = un.succ
-    parts = []
+        a, an, b, bn, c, cn, d, dn = un.succ
+    v0, vn0, v1, vn1 = vn.succ
+    e0 = e1 = uni.zero_edge
     if un.height < vn.height:
         # identity on vn's qubit: diag(u, u), both weights the interned 1
-        for vw, vnx in vn.succ:
-            if vw is zero:
-                parts.append(uni.zero_edge)
-            else:
-                sw, sn = _mul_nodes(uni, un, vnx)
-                parts.append(_edge(uni, ct.cmul(vw, sw), sn))
+        if v0 is not zero:
+            sw, sn = _mul_nodes(uni, un, vn0)
+            e0 = _edge(uni, ct.cmul(v0, sw), sn)
+        if v1 is not zero:
+            sw, sn = _mul_nodes(uni, un, vn1)
+            e1 = _edge(uni, ct.cmul(v1, sw), sn)
     else:
-        for row in ((u00, u01), (u10, u11)):
-            acc = uni.zero_edge
-            for (uw, unx), (vw, vnx) in zip(row, vn.succ):
-                if uw is zero or vw is zero:
-                    continue
-                sw, sn = _mul_nodes(uni, unx, vnx)
-                term = _edge(uni, ct.cmul(ct.cmul(uw, vw), sw), sn)
-                acc = term if acc[0] is zero else _add(uni, acc, term)
-            parts.append(acc)
-    res = cache.mult[key] = uni._make_node(parts)
+        # row r of the product: U_r0 * psi0 + U_r1 * psi1
+        if a is not zero and v0 is not zero:
+            sw, sn = _mul_nodes(uni, an, vn0)
+            e0 = _edge(uni, ct.cmul(ct.cmul(a, v0), sw), sn)
+        if b is not zero and v1 is not zero:
+            sw, sn = _mul_nodes(uni, bn, vn1)
+            t = _edge(uni, ct.cmul(ct.cmul(b, v1), sw), sn)
+            e0 = t if e0[0] is zero else _add(uni, e0, t)
+        if c is not zero and v0 is not zero:
+            sw, sn = _mul_nodes(uni, cn, vn0)
+            e1 = _edge(uni, ct.cmul(ct.cmul(c, v0), sw), sn)
+        if d is not zero and v1 is not zero:
+            sw, sn = _mul_nodes(uni, dn, vn1)
+            t = _edge(uni, ct.cmul(ct.cmul(d, v1), sw), sn)
+            e1 = t if e1[0] is zero else _add(uni, e1, t)
+    res = cache.mult[key] = uni._make_node((e0, e1))
     return res
 
 
@@ -219,7 +229,8 @@ def node_probability(uni: Universe, node) -> float:
         return hit
     zero = uni.ctab.zero
     p = 0.0
-    for w, nxt in node.succ:
+    s = node.succ
+    for w, nxt in zip(s[::2], s[1::2]):
         if w is not zero:
             p += magnitude_squared(w) * node_probability(uni, nxt)
     cache[node] = p
@@ -257,7 +268,7 @@ def _levels(uni: Universe, node) -> tuple[int, int]:
     zero = uni.ctab.zero
     bit = 1 << node.height
     zeros = ones = 0
-    (w0, n0), (w1, n1) = node.succ
+    w0, n0, w1, n1 = node.succ
     if w0 is not zero:
         zeros, ones = _levels(uni, n0)
         zeros |= bit
@@ -367,7 +378,7 @@ def measure_all(uni: Universe, v: Edge, rng) -> str:
     bits: list[str] = []
     node = v.node
     while node is not TERMINAL:
-        (w0, n0), (w1, n1) = node.succ
+        w0, n0, w1, n1 = node.succ
         p0_share = branch.get(node)
         if p0_share is None:
             p0 = p1 = 0.0

@@ -81,6 +81,12 @@ def assert_canonical(uni: Universe, edge) -> None:
                 stack.append(e.node)
 
 
+def flat_key(node) -> tuple:
+    """A node's edges laid out flat, (w0, n0, w1, n1, ...): its
+    unique-table key, read through the public Edge view."""
+    return tuple(x for e in node.edges for x in e)
+
+
 def assert_interned(uni: Universe, edge) -> None:
     """Every node reachable from ``edge`` is the one the unique table
     holds for its edges, so no two live nodes share a key."""
@@ -91,7 +97,7 @@ def assert_interned(uni: Universe, edge) -> None:
         if node is TERMINAL or node in seen:
             continue
         seen.add(node)
-        assert uni._table.get(node.edges) is node, \
+        assert uni._table.get(flat_key(node)) is node, \
             f"node at height {node.height} is not the table's node for its key"
         stack.extend(e.node for e in node.edges)
 

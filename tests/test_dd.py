@@ -10,7 +10,7 @@ from qdd import TERMINAL, Edge, Universe, count_nodes, export_dot
 from qdd.cvalue import DEFAULT_TOL
 
 from _util import (assert_canonical, assert_interned, cyclic_garbage,
-                   dd_matrix_to_array, dd_to_array)
+                   dd_matrix_to_array, dd_to_array, flat_key)
 
 S = 1 / math.sqrt(2)
 
@@ -83,7 +83,8 @@ class TestMakeVectorNode:
         z = uni.zero_edge
         pairs = (leaf, z, z, uni._make_node((leaf, z, z, leaf)))
         w, node = uni._make_node(pairs, 3)
-        assert w is ct.one and node.height == 3 and node.succ == pairs
+        assert w is ct.one and node.height == 3
+        assert node.succ == tuple(x for e in pairs for x in e)
         assert uni._make_node(pairs, 3)[1] is node
         assert uni._make_node(pairs, 2)[1] is not node
         with pytest.raises(ValueError, match="heights -1 and 0"):
@@ -164,6 +165,21 @@ class TestMakeNode:
         one = Edge(uni.ctab.one, TERMINAL)
         return [uni.make_node(*[one] * arity).node,
                 uni.make_node(one, *[uni.zero_edge] * (arity - 1)).node]
+
+    @pytest.mark.parametrize("count", [0, 1, 3, 5])
+    def test_other_edge_counts_rejected(self, uni, count):
+        # 1, 3 or 5 successors built a node that add then summed, and no
+        # edges returned the zero edge
+        leaf = Edge(uni.ctab.one, TERMINAL)
+        with pytest.raises(ValueError, match=f"2 or 4 edges, got {count}"):
+            uni.make_node(*[leaf] * count)
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_two_and_four_edges_build_nodes(self, uni, count):
+        leaf = Edge(uni.ctab.one, TERMINAL)
+        e = uni.make_node(*[leaf] * count)
+        assert e.w is uni.ctab.one and e.node.edges == (leaf,) * count
+        assert uni.make_node(*[uni.zero_edge] * count) == uni.zero_edge
 
     @pytest.mark.parametrize("arity", [2, 4])
     def test_random_weight_patterns(self, uni, arity):
@@ -386,7 +402,7 @@ class TestInvariants:
                 if node is TERMINAL or node in seen:
                     continue
                 seen.add(node)
-                assert uni._table[node.edges] is node
+                assert uni._table[flat_key(node)] is node
                 assert {e.node.height for e in node.edges
                         if e.w is not uni.ctab.zero} == {node.height - 1}
                 stack.extend(e.node for e in node.edges)
@@ -404,7 +420,7 @@ class TestInvariants:
         for roots in (built, built[::4]):
             uni.gc_collect(roots)
             for key, node in uni._table.items():
-                assert node.edges == key
+                assert flat_key(node) == key
             assert uni.live_nodes == len(uni._table)
             for v in roots:
                 assert_interned(uni, v)

@@ -13,9 +13,9 @@ from qdd import (TERMINAL, Circuit, Edge, EngineConfig, GateKind, GateOp,
                  GateSpec, MeasureAllOp, NormDriftError, SimStats, Universe,
                  add, build_gate_dd, count_nodes, gate_dd_for, gen_entangle,
                  gen_qft, identity_dd, kron, measure_qubit, measure_top,
-                 multiply, parse, run, sample)
+                 multiply, node_probability, parse, run, sample)
 
-from _util import (cyclic_garbage, dft_matrix, random_circuit,
+from _util import (cyclic_garbage, dft_matrix, flat_key, random_circuit,
                    random_gate_spec)
 
 S = 1 / math.sqrt(2)
@@ -460,11 +460,12 @@ class TestPublicEdgeView:
         uni.build_vector([0.5, 0, 0.5j, 0, 0, -0.5, 0, 0.5])
         assert uni.live_nodes > 0
         # an engine gate node's edges may skip heights, so its key is
-        # (height, edges); every other node's key is its edges
+        # (height, edges laid out flat); every other node's key is its
+        # edges laid out flat
         kinds = set()
         for key, node in uni._table.items():
-            view = node.edges
-            assert all(type(e) is Edge for e in view)
+            assert all(type(e) is Edge for e in node.edges)
+            view = flat_key(node)
             if type(key[0]) is int:
                 kinds.add("gate")
                 view = (node.height, view)
@@ -473,6 +474,31 @@ class TestPublicEdgeView:
             assert view == key and hash(view) == hash(key)
             assert uni._table[view] is node
         assert kinds == {"gate", "full"}
+
+    def test_every_node_stores_its_successors_flat(self):
+        got = []
+        run(parse("qubits 3\nh 0\ncx 0 1\nt 1\nh 2\n"),
+            on_op=lambda uni, state, i: got.append((uni, state)))
+        uni, state = got[-1]
+        rng = np.random.default_rng(30)
+        dense_m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        m = uni.build_matrix(dense_m.tolist())
+        gate = build_gate_dd(uni, 3, GateSpec(GateKind.H, 1, frozenset({0})))
+        # qubit 2 reads 0 or 1 with probability 1/2: the projection is built
+        assert measure_qubit(uni, state, 2, random.Random(1))[1] != state
+        kinds = set()
+        for key, node in uni._table.items():
+            kinds.add("gate" if type(key[0]) is int else "full")
+            assert len(node.succ) in (4, 8)
+            assert not any(isinstance(x, tuple) for x in node.succ)
+            assert flat_key(node) == node.succ
+        assert kinds == {"gate", "full"}
+        # a full matrix node's mass is its sub-block's, all four quadrants
+        dense_g = np.array([[uni.read_matrix_entry(gate, 3, r, c)
+                             for c in range(8)] for r in range(8)])
+        for e, block in ((m, dense_m), (gate, dense_g)):
+            assert node_probability(uni, e.node) == pytest.approx(
+                np.sum(np.abs(block) ** 2) / abs(e.w) ** 2, rel=1e-12)
 
     def test_replay_walk_counts_what_count_nodes_counts(self):
         uni = Universe()

@@ -693,7 +693,7 @@ class TestMeasureAll:
         bits = []
         node = v.node
         while node is not TERMINAL:
-            (w0, n0), (w1, n1) = node.succ
+            w0, n0, w1, n1 = node.succ
             p0 = p1 = 0.0
             if w0 is not uni.ctab.zero:
                 p0 = magnitude_squared(w0) * node_probability(uni, n0)

@@ -66,7 +66,7 @@ def marginals(uni, state, n: int) -> list[float]:
     for _ in range(n):
         below, p1 = {}, 0.0
         for node, m in mass.items():
-            for bit, (ew, child) in enumerate(node.succ):
+            for bit, (ew, child) in enumerate(node.edges):
                 share = m * magnitude_squared(ew)
                 if share:
                     below[child] = below.get(child, 0.0) + share
