@@ -13,7 +13,7 @@ written here from fixed seeds, so both trees read the same inputs:
 before hashing, so two trees that differ only in that statistic, such as
 ``peak_unique_nodes``, print identical lines.
 
-The 57 calls cover 12 random circuits (no, trailing and mid-circuit
+The 61 calls cover 12 random circuits (no, trailing and mid-circuit
 measurement), each at the default GC threshold and at 20; five
 unstructured 10-qubit, 300-gate H/T/CX circuits, each at both
 thresholds, three of which exit 3 with a NormDriftError; two
@@ -29,8 +29,11 @@ measurement;
 ``dot``, ``dot --gate`` (also on a 64-qubit circuit: a CX whose control
 sits 60 qubits above its target, and H on the bottom qubit, and on a
 1,200-qubit CX deeper than the recursion limit), four
-``bench`` runs and one bad input. Exits 1
-if any call ends in a traceback or an undocumented exit code.
+``bench`` runs and one bad input. Four calls exit 2 at the recursion
+limit: ``run`` and ``dot`` on the 1,200-qubit circuit, rejected on
+entry; ``bench entangle 995``, which overflows mid-run; and ``bench qft
+100000``, rejected before generating. Exits 1 if any call ends in a
+traceback or an undocumented exit code.
 """
 
 import argparse
@@ -183,6 +186,10 @@ def invocations() -> list[list[str]]:
         ["bench", "qft", "48", "--seed", "1", "--shots", "20"],
         ["bench", "grover", "6", "--marked", "101101", "--shots", "50"],
         ["run", "bad.qdd"],
+        ["run", "deep.qdd"],
+        ["dot", "deep.qdd"],
+        ["bench", "entangle", "995"],
+        ["bench", "qft", "100000"],
     ]
     return calls
 

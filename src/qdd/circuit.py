@@ -54,6 +54,8 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
+        object.__setattr__(self, "n_qubits",
+                           _qubit_index(self.n_qubits, "count"))
         if self.n_qubits < 1:
             raise ValueError("circuit needs at least one qubit")
         for op in self.ops:

@@ -11,15 +11,14 @@ import argparse
 import json
 import random
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
 from .circuit import Circuit, GateOp, ParseError, gen_entangle, gen_grover, \
     gen_qft, parse
 from .dd import Universe, export_dot
-from .engine import EngineConfig, SimStats, _collector_paused, _execute, \
-    run, sample
+from .engine import EngineConfig, SimStats, _TOO_DEEP, _execute, \
+    _simulation, run, sample
 from .gates import build_gate_dd
 from .ops import NormDriftError
 
@@ -106,20 +105,6 @@ def _report(circuit: Circuit, cfg: EngineConfig, stats: SimStats) -> dict:
     }
 
 
-@contextmanager
-def _recursion_guard(n: int):
-    """The diagram operations recurse once per qubit level, so Python's
-    recursion limit bounds the qubit count n; report that as bad input, on
-    entry (before any allocation) when n is at or over the limit."""
-    try:
-        if n >= sys.getrecursionlimit():
-            raise RecursionError
-        yield
-    except RecursionError:
-        raise ValueError(f"{n} qubits exceed the recursion "
-                         "depth of the diagram operations") from None
-
-
 def _emit(report: dict, args: argparse.Namespace) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.stats_json:
@@ -133,16 +118,14 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
 
 def _run_and_report(circuit: Circuit, args: argparse.Namespace) -> int:
     cfg = _config(args)
-    with _recursion_guard(circuit.n_qubits):
-        stats = sample(circuit, cfg)
-        report = _report(circuit, cfg, stats)
-        if args.dump_state and circuit.n_qubits <= 20:
-            report["state"] = _dump_state(circuit, cfg)
+    report = _report(circuit, cfg, sample(circuit, cfg))
+    if args.dump_state and circuit.n_qubits <= 20:
+        report["state"] = _dump_state(circuit, cfg)
     _emit(report, args)
     return 0
 
 
-@_collector_paused()
+@_simulation
 def _dump_state(circuit: Circuit, cfg: EngineConfig) -> list[list[float]]:
     uni, n = Universe(), circuit.n_qubits
     state = _execute(uni, n, circuit.ops, random.Random(cfg.seed),
@@ -158,17 +141,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     n = args.n
     if n < 1:
         raise ValueError(f"qubit count must be at least 1, got {n}")
-    with _recursion_guard(n):
-        if args.family == "entangle":
-            circuit = gen_entangle(n)
-        elif args.family == "qft":
-            bits = args.input
-            if bits is None:
-                bits = "".join(random.Random(args.seed).choice("01")
-                               for _ in range(n))
-            circuit = gen_qft(n, bits)
-        else:
-            circuit = gen_grover(n, args.marked if args.marked else "1" * n)
+    if n >= sys.getrecursionlimit():
+        raise ValueError(_TOO_DEEP.format(n))  # before generating
+    if args.family == "entangle":
+        circuit = gen_entangle(n)
+    elif args.family == "qft":
+        bits = args.input
+        if bits is None:
+            bits = "".join(random.Random(args.seed).choice("01")
+                           for _ in range(n))
+        circuit = gen_qft(n, bits)
+    else:
+        circuit = gen_grover(n, args.marked if args.marked else "1" * n)
     return _run_and_report(circuit, args)
 
 
@@ -176,8 +160,7 @@ def _cmd_dot(args: argparse.Namespace) -> int:
     circuit = _load_circuit(args.file)
     n = circuit.n_qubits
     if args.gate is None:
-        with _recursion_guard(n):
-            edge, _ = run(circuit, EngineConfig(seed=args.seed))
+        edge, _ = run(circuit, EngineConfig(seed=args.seed))
     else:
         if n > DOT_GATE_MAX_QUBITS:
             raise ValueError(f"dot --gate renders at most "

@@ -8,21 +8,27 @@ the squared norm is checked against 1 after each one. Node statistics
 are sampled at op boundaries, where they are well-defined, so identical
 configs reproduce identical stats (modulo wall time).
 
+The diagram operations recurse once per qubit level: run and sample
+raise ValueError for a circuit at or over Python's recursion limit, on
+entry (before any allocation) or when a RecursionError escapes. The
+public recursions of qdd.ops raise RecursionError on taller diagrams.
+
 Diagrams are acyclic and the diagram code makes no reference cycles, so
 reference counts free what a simulation drops and Universe.gc_collect
 trims the tables. Python's cycle collector would find nothing, yet it
 re-walks every live node as the tables grow, so run and sample pause it
 (process-wide, as the single-owner contract allows) and restore the
-caller's setting when they return or raise. They pause it as decorators,
-so a return frees the universe their frame owns first.
+caller's setting when they return or raise. One decorator does both, so
+a return frees the universe the decorated frame owns first.
 """
 
 from __future__ import annotations
 
+import functools
 import gc
 import random
+import sys
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .circuit import Circuit, GateOp, MeasureOp
@@ -103,22 +109,32 @@ def _execute(uni: Universe, n: int, ops, rng: random.Random,
     return state
 
 
-@contextmanager
-def _collector_paused():
-    """gc.disable() until exit, then the caller's gc.isenabled() state.
-    As a decorator, returning frees the frame that owns the universe
-    first: after gc.enable(), the first allocation traverses every object
-    allocated during the pause that still lives."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
+_TOO_DEEP = ("{} qubits exceed the recursion depth of the diagram "
+             "operations")
 
 
-@_collector_paused()
+def _simulation(func):
+    """The module docstring's qubit-count guard and collector pause, for
+    a call whose first argument is the circuit. After gc.enable(), the
+    first allocation traverses every live object allocated in the pause."""
+    @functools.wraps(func)
+    def guarded(circuit: Circuit, *args, **kwargs):
+        n = circuit.n_qubits
+        if n < sys.getrecursionlimit():
+            was_enabled = gc.isenabled()
+            gc.disable()
+            try:
+                return func(circuit, *args, **kwargs)
+            except RecursionError:
+                pass  # raised below, once the overflowed frames are gone
+            finally:
+                if was_enabled:
+                    gc.enable()
+        raise ValueError(_TOO_DEEP.format(n))
+    return guarded
+
+
+@_simulation
 def run(circuit: Circuit, config: EngineConfig | None = None,
         on_op=None) -> tuple[Edge, SimStats]:
     """Execute the circuit once; returns (final state, stats).
@@ -135,7 +151,7 @@ def run(circuit: Circuit, config: EngineConfig | None = None,
     return state, stats
 
 
-@_collector_paused()
+@_simulation
 def sample(circuit: Circuit, config: EngineConfig | None = None) -> SimStats:
     """Run with ``config.shots`` repetitions; histogram over full-register
     bitstrings.

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -63,6 +64,15 @@ def _qubit_index(q, what: str = "index") -> int:
         raise ValueError(f"qubit {what} {q!r} is not an integer") from None
 
 
+def _finite_real(x) -> bool:
+    """x is a real number other than a bool, and a finite float."""
+    try:
+        return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+                and math.isfinite(x))
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 @dataclass(frozen=True)
 class GateSpec:
     """One gate application: kind, target qubit, positive controls."""
@@ -82,10 +92,12 @@ class GateSpec:
             if self.param is not None:
                 raise ValueError(f"{self.kind.name} takes no parameter")
         elif self.kind is GateKind.RK:
-            if not isinstance(self.param, int) or self.param < 1:
+            if (not isinstance(self.param, int) or isinstance(self.param, bool)
+                    or self.param < 1):
                 raise ValueError(f"RK needs an integer k >= 1, got {self.param!r}")
-        elif self.param is None:
-            raise ValueError(f"{self.kind.name} needs an angle parameter")
+        elif not _finite_real(self.param):
+            raise ValueError(f"{self.kind.name} needs a finite real angle, "
+                             f"got {self.param!r}")
 
 
 def base2x2(kind: GateKind, param: float | int | None = None):

@@ -199,6 +199,19 @@ class TestCircuitValidation:
         with pytest.raises(ValueError):
             Circuit(0)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+    def test_rejects_non_integer_count(self, n):
+        # a float count used to construct, then die in sample with a
+        # TypeError, and serialize wrote "qubits 2.5"
+        with pytest.raises(ValueError, match="qubit count .* not an integer"):
+            Circuit(n)
+
+    def test_numpy_integer_count_becomes_int(self):
+        circuit = Circuit(np.int64(3), (MeasureOp(2),))
+        assert circuit == Circuit(3, (MeasureOp(2),))
+        assert type(circuit.n_qubits) is int
+        assert serialize(circuit) == "qubits 3\nmeasure 2\n"
+
 
 class TestGenEntangle:
     def test_bell_pair(self):

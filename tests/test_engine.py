@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -362,6 +363,51 @@ class TestCollectorPause:
     def test_sample_leaves_no_cyclic_garbage(self, threshold):
         cfg = EngineConfig(seed=3, shots=20, gc_threshold=threshold)
         assert cyclic_garbage(sample, parse(self.MID), cfg) == 0
+
+
+class TestQubitCap:
+    """run, sample and the CLI's state dump reject a circuit too tall for
+    the recursion limit with the CLI's ValueError, never RecursionError,
+    and restore the caller's collector setting."""
+
+    ENTRIES = [run, sample, cli._dump_state]
+    MESSAGE = "qubits exceed the recursion depth of the diagram operations"
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_rejected_on_entry_before_allocating(self, entry, enabled,
+                                                 monkeypatch):
+        import qdd.engine as engine
+
+        def no_universe():
+            raise AssertionError("Universe built")
+        monkeypatch.setattr(engine, "Universe", no_universe)
+        monkeypatch.setattr(cli, "Universe", no_universe)
+        n = sys.getrecursionlimit()
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(ValueError) as err:
+                entry(Circuit(n), EngineConfig())
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert str(err.value) == f"{n} {self.MESSAGE}"
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_overflow_mid_run_becomes_the_same_error(self, entry, enabled):
+        n = sys.getrecursionlimit() - 5
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(ValueError) as err:
+                entry(gen_entangle(n), EngineConfig())
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert str(err.value) == f"{n} {self.MESSAGE}"
+        assert err.value.__context__ is None
 
 
 def clifford_t_text(seed: int, n_gates: int, measure_every: int = 0) -> str:

@@ -77,6 +77,23 @@ class TestGateSpec:
         with pytest.raises(ValueError):
             GateSpec(GateKind.RK, 0, param=1.5)
 
+    @pytest.mark.parametrize("param", [
+        "x", "0.5", math.nan, math.inf, -math.inf, 1 + 2j, complex(0.5),
+        True, False, np.nan, np.float64(np.inf), 10 ** 400])
+    def test_phase_needs_finite_real_angle(self, param):
+        with pytest.raises(ValueError, match="finite real angle"):
+            GateSpec(GateKind.PHASE, 0, param=param)
+
+    @pytest.mark.parametrize("param", [
+        0, -3, 0.5, -1e300, np.float64(0.25), np.float32(0.25), np.int64(2)])
+    def test_phase_keeps_finite_reals(self, param):
+        assert GateSpec(GateKind.PHASE, 0, param=param).param is param
+
+    @pytest.mark.parametrize("param", [True, False])
+    def test_rk_order_is_not_a_bool(self, param):
+        with pytest.raises(ValueError, match="RK needs an integer"):
+            GateSpec(GateKind.RK, 0, param=param)
+
     @pytest.mark.parametrize("target, controls", [
         (1.0, ()), (1.5, ()), ("1", ()), (None, ()), (0, (1.0,)), (0, ("2",))])
     def test_non_integer_qubit_rejected(self, target, controls):
