@@ -22,7 +22,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .gates import GateKind, GateSpec, _qubit_index
+from .gates import _FIXED, GateKind, GateSpec, _qubit_index
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,7 @@ def _rk_tok(tok: str, line: int, col: int) -> int:
 # then the target. serialize writes a gate with the first word that fits
 # it, so "cx" comes before "mcx".
 _GATES = {
-    **{k.value: (k, None, 0) for k in GateKind
-       if k not in (GateKind.PHASE, GateKind.RK)},
+    **{k.value: (k, None, 0) for k in _FIXED},
     "p": (GateKind.PHASE, _angle_tok, 0),
     "rk": (GateKind.RK, _rk_tok, 0),
     "cx": (GateKind.X, None, 1),
@@ -207,7 +206,9 @@ def serialize(circuit: Circuit) -> str:
                     break
             else:
                 raise ValueError(f"no text form for {spec!r}")
-            param = [] if read_param is None else [repr(spec.param)]
+            # an angle as a float: a numpy float's repr would not parse
+            param = [] if read_param is None else [repr(
+                spec.param if read_param is _rk_tok else float(spec.param))]
             lines.append(" ".join([word, *param, *map(str, cs),
                                    str(spec.target)]))
     return "\n".join(lines) + "\n"

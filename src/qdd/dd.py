@@ -245,7 +245,7 @@ class Universe:
         size = len(amplitudes)
         if size == 0 or size & (size - 1):
             raise ValueError(f"length {size} is not a power of two")
-        return Edge(*_build_vector(self, amplitudes, 0, size))
+        return Edge(*_build(self, (amplitudes,), 0, 0, size, 2))
 
     def _check_width(self, e: Edge, n: int) -> None:
         if e.w is not self.ctab.zero and e.node.height != n - 1:
@@ -290,7 +290,7 @@ class Universe:
             raise ValueError(f"dimension {size} is not a power of two")
         if any(len(row) != size for row in entries):
             raise ValueError("matrix is not square")
-        return Edge(*_build_matrix(self, entries, 0, 0, size))
+        return Edge(*_build(self, entries, 0, 0, size, 4))
 
     def read_matrix_entry(self, m: Edge, n: int, row: int, col: int) -> complex:
         """Entry (row, col): row indexes the output basis state."""
@@ -333,27 +333,20 @@ class Universe:
 # recursive closure is a reference cycle that keeps the universe alive
 # until the cycle collector runs, which qdd.engine pauses.
 
-def _build_vector(uni: Universe, amplitudes: Sequence[complex], offset: int,
-                  span: int) -> tuple:
-    if span == 1:
-        return uni.ctab.intern(complex(amplitudes[offset])), TERMINAL
-    half = span // 2
-    e0 = _build_vector(uni, amplitudes, offset, half)
-    e1 = _build_vector(uni, amplitudes, offset + half, half)
-    return uni._make_node((e0, e1))
-
-
-def _build_matrix(uni: Universe, entries: Sequence[Sequence[complex]],
-                  row: int, col: int, span: int) -> tuple:
+def _build(uni: Universe, entries: Sequence[Sequence[complex]], row: int,
+           col: int, span: int, arity: int) -> tuple:
+    """The span x span block at (row, col) as a pair, interning e0, e1 of
+    a vector (arity 2, row 0) or e00, e01, e10, e11 of a matrix (4)."""
     if span == 1:
         return uni.ctab.intern(complex(entries[row][col])), TERMINAL
     half = span // 2
+    e0 = _build(uni, entries, row, col, half, arity)
+    e1 = _build(uni, entries, row, col + half, half, arity)
+    if arity == 2:
+        return uni._make_node((e0, e1))
     return uni._make_node((
-        _build_matrix(uni, entries, row, col, half),
-        _build_matrix(uni, entries, row, col + half, half),
-        _build_matrix(uni, entries, row + half, col, half),
-        _build_matrix(uni, entries, row + half, col + half, half),
-    ))
+        e0, e1, _build(uni, entries, row + half, col, half, arity),
+        _build(uni, entries, row + half, col + half, half, arity)))
 
 
 def _fill_dense(out: list[complex], edge: tuple, offset: int,

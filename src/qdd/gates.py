@@ -52,16 +52,29 @@ class GateKind(Enum):
     RK = "rk"       # diag(1, e^{2*pi*i / 2^k})
 
 
-_PARAMLESS = frozenset(k for k in GateKind if k not in (GateKind.PHASE, GateKind.RK))
+_H = complex(SQRT2_INV)
+# the 2x2 unitary of every kind without a parameter, as nested tuples
+_FIXED = {
+    GateKind.X: ((0j, 1 + 0j), (1 + 0j, 0j)),
+    GateKind.Y: ((0j, -1j), (1j, 0j)),
+    GateKind.Z: ((1 + 0j, 0j), (0j, -1 + 0j)),
+    GateKind.H: ((_H, _H), (_H, -_H)),
+    GateKind.S: ((1 + 0j, 0j), (0j, 1j)),
+    GateKind.SDG: ((1 + 0j, 0j), (0j, -1j)),
+    GateKind.T: ((1 + 0j, 0j), (0j, cmath.exp(1j * math.pi / 4))),
+    GateKind.TDG: ((1 + 0j, 0j), (0j, cmath.exp(-1j * math.pi / 4))),
+}
 
 
 def _qubit_index(q, what: str = "index") -> int:
     """q as a plain int (numpy integers included); ValueError otherwise,
-    naming q the qubit ``what``: an index or a count."""
+    a bool included, naming q the qubit ``what``: an index or a count."""
     try:
-        return operator.index(q)
+        if not isinstance(q, bool):
+            return operator.index(q)
     except TypeError:
-        raise ValueError(f"qubit {what} {q!r} is not an integer") from None
+        pass
+    raise ValueError(f"qubit {what} {q!r} is not an integer")
 
 
 def _finite_real(x) -> bool:
@@ -88,13 +101,17 @@ class GateSpec:
                            frozenset(map(_qubit_index, self.controls)))
         if self.target in self.controls:
             raise ValueError(f"target {self.target} is also a control")
-        if self.kind in _PARAMLESS:
+        if self.kind in _FIXED:
             if self.param is not None:
                 raise ValueError(f"{self.kind.name} takes no parameter")
         elif self.kind is GateKind.RK:
-            if (not isinstance(self.param, int) or isinstance(self.param, bool)
-                    or self.param < 1):
+            try:
+                k = _qubit_index(self.param)
+            except ValueError:
+                k = 0
+            if k < 1:
                 raise ValueError(f"RK needs an integer k >= 1, got {self.param!r}")
+            object.__setattr__(self, "param", k)
         elif not _finite_real(self.param):
             raise ValueError(f"{self.kind.name} needs a finite real angle, "
                              f"got {self.param!r}")
@@ -102,29 +119,15 @@ class GateSpec:
 
 def base2x2(kind: GateKind, param: float | int | None = None):
     """The 2x2 unitary for a gate kind as nested tuples."""
-    if kind is GateKind.X:
-        return ((0j, 1 + 0j), (1 + 0j, 0j))
-    if kind is GateKind.Y:
-        return ((0j, -1j), (1j, 0j))
-    if kind is GateKind.Z:
-        return ((1 + 0j, 0j), (0j, -1 + 0j))
-    if kind is GateKind.H:
-        s = complex(SQRT2_INV)
-        return ((s, s), (s, -s))
-    if kind is GateKind.S:
-        return ((1 + 0j, 0j), (0j, 1j))
-    if kind is GateKind.SDG:
-        return ((1 + 0j, 0j), (0j, -1j))
-    if kind is GateKind.T:
-        return ((1 + 0j, 0j), (0j, cmath.exp(1j * math.pi / 4)))
-    if kind is GateKind.TDG:
-        return ((1 + 0j, 0j), (0j, cmath.exp(-1j * math.pi / 4)))
+    if kind in _FIXED:
+        return _FIXED[kind]
     if kind is GateKind.PHASE:
-        return ((1 + 0j, 0j), (0j, cmath.exp(1j * param)))
-    if kind is GateKind.RK:
+        phase = param
+    elif kind is GateKind.RK:
         phase = math.ldexp(2 * math.pi, -param)  # 2**k overflows a float
-        return ((1 + 0j, 0j), (0j, cmath.exp(1j * phase)))
-    raise ValueError(f"unknown gate kind {kind!r}")
+    else:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    return ((1 + 0j, 0j), (0j, cmath.exp(1j * phase)))
 
 
 def identity_dd(uni: Universe, n: int) -> Edge:

@@ -76,7 +76,7 @@ def kron(uni: Universe, a: Edge, b: Edge) -> Edge:
 
 def _kron_rebuild(uni: Universe, memo: dict, node, below):
     """``node`` of a, rebuilt over b's root node ``below`` (no closure: see
-    the note above qdd.dd._build_vector)."""
+    the note above qdd.dd._build)."""
     if node is TERMINAL:
         return below
     got = memo.get(node)

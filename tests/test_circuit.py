@@ -136,6 +136,19 @@ class TestSerialize:
         assert serialize(circuit) == text
         assert parse(text) == circuit
 
+    @pytest.mark.parametrize("kind, param, word", [
+        (GateKind.PHASE, np.float64(0.5), "p 0.5"),
+        (GateKind.PHASE, np.float32(0.1), "p 0.10000000149011612"),
+        (GateKind.PHASE, 1, "p 1.0"),
+        (GateKind.PHASE, 0.1 + 0.2, "p 0.30000000000000004"),
+        (GateKind.RK, np.int64(3), "rk 3")])
+    def test_numeric_params_roundtrip(self, kind, param, word):
+        # an angle is written as a float, whatever number type it came as
+        circuit = Circuit(1, (GateOp(GateSpec(kind, 0, param=param)),))
+        text = serialize(circuit)
+        assert text == f"qubits 1\n{word} 0\n"
+        assert parse(text) == circuit
+
     def test_unserializable_spec_rejected(self):
         for spec in (GateSpec(GateKind.H, 0, frozenset({1})),
                      GateSpec(GateKind.RK, 0, frozenset({1, 2}), param=2),

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from qdd import TERMINAL, Edge, Universe, count_nodes, export_dot
 from qdd.cvalue import DEFAULT_TOL
+from qdd.dd import _reachable
 
 from _util import (assert_canonical, assert_interned, cyclic_garbage,
                    dd_matrix_to_array, dd_to_array, flat_key)
@@ -324,6 +326,86 @@ class TestMatrices:
         e = uni.build_matrix(m.tolist())
         back = dd_matrix_to_array(uni, e, 3)
         assert np.max(np.abs(back - m)) < 1e-9
+
+
+# Copies of the vector and matrix builders that qdd.dd._build replaced:
+# the one builder must intern entries and make nodes in their order, or
+# tolerance snapping keeps another copy of an entry and results move.
+
+def old_build_vector(uni, amplitudes, offset, span):
+    if span == 1:
+        return uni.ctab.intern(complex(amplitudes[offset])), TERMINAL
+    half = span // 2
+    e0 = old_build_vector(uni, amplitudes, offset, half)
+    e1 = old_build_vector(uni, amplitudes, offset + half, half)
+    return uni._make_node((e0, e1))
+
+
+def old_build_matrix(uni, entries, row, col, span):
+    if span == 1:
+        return uni.ctab.intern(complex(entries[row][col])), TERMINAL
+    half = span // 2
+    return uni._make_node((
+        old_build_matrix(uni, entries, row, col, half),
+        old_build_matrix(uni, entries, row, col + half, half),
+        old_build_matrix(uni, entries, row + half, col, half),
+        old_build_matrix(uni, entries, row + half, col + half, half),
+    ))
+
+
+def near_repeats(rng, count):
+    """``count`` entries: zeros and copies of a few values, each copy
+    moved by under half the intern tolerance, so any two copies are
+    within tolerance and the first one interned is the one kept."""
+    pool = [complex(rng.choice((0.5, -S, 0.25, 1.0)), rng.choice((0, S, -0.5)))
+            for _ in range(4)]
+    jitter = 0.45 * DEFAULT_TOL
+    return [0j if rng.random() < 0.2 else rng.choice(pool) + complex(
+        rng.uniform(-jitter, jitter), rng.uniform(-jitter, jitter))
+        for _ in range(count)]
+
+
+def build_log(build):
+    """Run ``build`` on a fresh universe; return its root edge and every
+    node reachable from it, as (idx, height, weight idx, weight bits,
+    child idx) rows, and each intern call's result as (idx, bits)."""
+    uni = Universe()
+    intern, calls = uni.ctab.intern, []
+
+    def logged(z):
+        v = intern(z)
+        calls.append((v.idx, v.real.hex(), v.imag.hex()))
+        return v
+
+    uni.ctab.intern = logged
+    w, root = build(uni)
+
+    def row(w, nd):
+        return (w.idx, w.real.hex(), w.imag.hex(),
+                -1 if nd is TERMINAL else nd.idx)
+
+    nodes = [(nd.idx, nd.height,
+              *(row(*e) for e in zip(nd.succ[::2], nd.succ[1::2])))
+             for nd in _reachable(((w, root),))]
+    return row(w, root), nodes, calls
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+class TestDenseBuildOrder:
+    def test_vector_matches_the_old_builder(self, seed):
+        amps = near_repeats(random.Random(seed), 256)
+        got = build_log(lambda uni: uni.build_vector(amps))
+        want = build_log(lambda uni: old_build_vector(uni, amps, 0, 256))
+        assert got == want
+        assert len(want[1]) > 8 and len(want[2]) > 256
+
+    def test_matrix_matches_the_old_builder(self, seed):
+        flat = near_repeats(random.Random(seed), 16 * 16)
+        rows = [flat[r * 16:(r + 1) * 16] for r in range(16)]
+        got = build_log(lambda uni: uni.build_matrix(rows))
+        want = build_log(lambda uni: old_build_matrix(uni, rows, 0, 0, 16))
+        assert got == want
+        assert len(want[1]) > 8 and len(want[2]) > 256
 
 
 class TestInvariants:

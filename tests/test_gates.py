@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import qdd.dense as dense
-from qdd import (TERMINAL, GateKind, GateSpec, Universe, base2x2,
-                 build_gate_dd, count_nodes, gate_dd_for, identity_dd,
-                 multiply, norm_squared)
+from qdd import (TERMINAL, Circuit, GateKind, GateSpec, MeasureOp, Universe,
+                 base2x2, build_gate_dd, count_nodes, gate_dd_for, identity_dd,
+                 measure_qubit, multiply, norm_squared)
 
 from _util import (assert_interned, dd_matrix_to_array, dd_to_array,
                    random_gate_spec, random_state)
@@ -61,6 +61,17 @@ class TestBase2x2:
         u = as_matrix(kind, param)
         assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-15
 
+    @pytest.mark.parametrize("kind", list(GateKind))
+    def test_matches_dense_oracle(self, kind):
+        param = {GateKind.PHASE: 1.234, GateKind.RK: 5}.get(kind)
+        diff = as_matrix(kind, param) - dense.gate_matrix(kind, param)
+        assert np.max(np.abs(diff)) <= 1e-15
+
+    @pytest.mark.parametrize("kind", ["x", None, 0])
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(ValueError, match="unknown gate kind"):
+            base2x2(kind, 1)
+
 
 class TestGateSpec:
     def test_target_cannot_be_control(self):
@@ -89,10 +100,15 @@ class TestGateSpec:
     def test_phase_keeps_finite_reals(self, param):
         assert GateSpec(GateKind.PHASE, 0, param=param).param is param
 
-    @pytest.mark.parametrize("param", [True, False])
+    @pytest.mark.parametrize("param", [True, False, np.bool_(True)])
     def test_rk_order_is_not_a_bool(self, param):
         with pytest.raises(ValueError, match="RK needs an integer"):
             GateSpec(GateKind.RK, 0, param=param)
+
+    def test_rk_order_becomes_int(self):
+        spec = GateSpec(GateKind.RK, 0, param=np.int64(3))
+        assert spec == GateSpec(GateKind.RK, 0, param=3)
+        assert type(spec.param) is int
 
     @pytest.mark.parametrize("target, controls", [
         (1.0, ()), (1.5, ()), ("1", ()), (None, ()), (0, (1.0,)), (0, ("2",))])
@@ -458,3 +474,21 @@ class TestEngineGateDD:
         assert uni.gc_collect([gate]) == 0
         assert uni.gc_collect([]) == 5 and uni.live_nodes == 0
         assert uni.cache.gates == {}
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("make", [
+    lambda uni, q: GateSpec(GateKind.X, q),
+    lambda uni, q: GateSpec(GateKind.X, 2, frozenset({q})),
+    lambda uni, q: MeasureOp(q),
+    lambda uni, q: Circuit(q),
+    lambda uni, q: measure_qubit(uni, uni.basis_state(2, "01"), q,
+                                 np.random.default_rng(0)),
+    lambda uni, q: identity_dd(uni, q),
+    lambda uni, q: build_gate_dd(uni, q, GateSpec(GateKind.H, 0)),
+], ids=["target", "control", "measure", "circuit", "measure_qubit",
+        "identity_dd", "build_gate_dd"])
+def test_bool_is_no_qubit_index_or_count(uni, make, flag):
+    # a bool is an int to operator.index, but never a qubit
+    with pytest.raises(ValueError, match=f"qubit (index|count) {flag} is not"):
+        make(uni, flag)

@@ -29,3 +29,14 @@ def test_report_digests_clifford_t_jobs_are_perfbench_jobs(seed, job):
     want = workloads.make_jobs("clifford-t-10", seed)[job]
     assert digests.clifford_t_circuit(seed, job) == (
         qdd.serialize(want.circuit), want.seed)
+
+
+def test_report_digests_circuits_use_every_gate_word():
+    # CI's base/head digest diff checks that gate diagrams stay unchanged
+    # only for the words these circuits use
+    texts = [digests.random_circuit(seed) for seed in range(12)]
+    texts += [digests.clifford_t_circuit(*job)[0] for job in digests.CLIFFORD_T]
+    texts += [digests.syndrome_circuit(seed) for seed in digests.SYNDROME]
+    texts.append(digests.certain_circuit(digests.CERTAIN))
+    words = {line.split()[0] for text in texts for line in text.splitlines()}
+    assert words >= {*qdd.circuit._GATES, "measure", "measure_all"}
