@@ -59,12 +59,14 @@ class Circuit:
         if self.n_qubits < 1:
             raise ValueError("circuit needs at least one qubit")
         for op in self.ops:
-            if isinstance(op, GateOp):
+            if isinstance(op, GateOp) and isinstance(op.spec, GateSpec):
                 refs = {op.spec.target, *op.spec.controls}
             elif isinstance(op, MeasureOp):
                 refs = {op.qubit}
-            else:
+            elif isinstance(op, MeasureAllOp):
                 refs = set()
+            else:
+                raise ValueError(f"not a circuit op: {op!r}")
             bad = [q for q in refs if not 0 <= q < self.n_qubits]
             if bad:
                 raise ValueError(f"qubit index {bad[0]} out of range "
@@ -87,25 +89,19 @@ def _int_tok(tok: str, line: int, col: int, what: str) -> int:
 
 def _angle_tok(tok: str, line: int, col: int) -> float:
     try:
-        theta = float(tok)
+        return float(tok)
     except ValueError:
         raise ParseError(f"expected an angle, got {tok!r}", line, col) from None
-    if not math.isfinite(theta):
-        raise ParseError(f"angle must be finite, got {tok!r}", line, col)
-    return theta
 
 
 def _rk_tok(tok: str, line: int, col: int) -> int:
-    k = _int_tok(tok, line, col, "an integer k")
-    if k < 1:
-        raise ParseError(f"rk order must be >= 1, got {k}", line, col)
-    return k
+    return _int_tok(tok, line, col, "an integer k")
 
 
 # Gate word -> (kind, parameter reader or None, control count: 0, 1 or
-# None for one or more). Arguments are the parameter, then the controls,
-# then the target. serialize writes a gate with the first word that fits
-# it, so "cx" comes before "mcx".
+# None for one or more). Arguments are the parameter (a reader converts
+# it, GateSpec judges it), then the controls, then the target. serialize
+# writes a gate with the first word that fits it, so "cx" before "mcx".
 _GATES = {
     **{k.value: (k, None, 0) for k in _FIXED},
     "p": (GateKind.PHASE, _angle_tok, 0),
@@ -180,8 +176,11 @@ def parse(text: str, name: str = "circuit") -> Circuit:
             qs = [qubit(tok, lineno, c) for tok, c in args]
             if len(set(qs)) != len(qs):
                 raise ParseError("repeated qubit in gate", lineno, col)
-            ops.append(GateOp(GateSpec(kind, qs[-1], frozenset(qs[:-1]),
-                                       param)))
+            try:  # with its qubits checked, only a parameter can fail here
+                spec = GateSpec(kind, qs[-1], frozenset(qs[:-1]), param)
+            except ValueError as err:
+                raise ParseError(str(err), lineno, toks[1][1]) from None
+            ops.append(GateOp(spec))
 
     if n_qubits is None:
         raise ParseError("missing 'qubits <N>' header", last_line + 1, 1)
@@ -208,7 +207,7 @@ def serialize(circuit: Circuit) -> str:
                 raise ValueError(f"no text form for {spec!r}")
             # an angle as a float: a numpy float's repr would not parse
             param = [] if read_param is None else [repr(
-                spec.param if read_param is _rk_tok else float(spec.param))]
+                spec.param if spec.kind is GateKind.RK else float(spec.param))]
             lines.append(" ".join([word, *param, *map(str, cs),
                                    str(spec.target)]))
     return "\n".join(lines) + "\n"

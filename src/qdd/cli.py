@@ -167,9 +167,8 @@ def _cmd_dot(args: argparse.Namespace) -> int:
                              f"{DOT_GATE_MAX_QUBITS} qubits, got {n}")
         gate_ops = [op for op in circuit.ops if isinstance(op, GateOp)]
         if not 0 <= args.gate < len(gate_ops):
-            print(f"gate index {args.gate} out of range "
-                  f"({len(gate_ops)} gate ops)", file=sys.stderr)
-            return 2
+            raise ValueError(f"gate index {args.gate} out of range "
+                             f"({len(gate_ops)} gate ops)")
         edge = build_gate_dd(Universe(), n, gate_ops[args.gate].spec)
     print(export_dot(edge))
     return 0

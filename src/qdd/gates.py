@@ -96,6 +96,8 @@ class GateSpec:
     param: float | int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, GateKind):
+            raise ValueError(f"unknown gate kind {self.kind!r}")
         object.__setattr__(self, "target", _qubit_index(self.target))
         object.__setattr__(self, "controls",
                            frozenset(map(_qubit_index, self.controls)))
@@ -118,15 +120,17 @@ class GateSpec:
 
 
 def base2x2(kind: GateKind, param: float | int | None = None):
-    """The 2x2 unitary for a gate kind as nested tuples."""
-    if kind in _FIXED:
-        return _FIXED[kind]
-    if kind is GateKind.PHASE:
-        phase = param
-    elif kind is GateKind.RK:
-        phase = math.ldexp(2 * math.pi, -param)  # 2**k overflows a float
-    else:
-        raise ValueError(f"unknown gate kind {kind!r}")
+    """The 2x2 unitary for a gate kind as nested tuples; a kind or a
+    parameter that GateSpec rejects raises its ValueError."""
+    return _unitary(GateSpec(kind, 0, param=param))
+
+
+def _unitary(spec: GateSpec):
+    """base2x2 of a spec, which GateSpec has judged already."""
+    if spec.kind in _FIXED:
+        return _FIXED[spec.kind]
+    phase = (spec.param if spec.kind is GateKind.PHASE else
+             math.ldexp(2 * math.pi, -spec.param))  # 2**k overflows a float
     return ((1 + 0j, 0j), (0j, cmath.exp(1j * phase)))
 
 
@@ -192,7 +196,7 @@ def _gate_dd(uni: Universe, n: int, spec: GateSpec) -> tuple:
     target = n - 1 - spec.target
     controls = sorted(n - 1 - c for c in spec.controls)
     tracks = []
-    for row in base2x2(spec.kind, spec.param):
+    for row in _unitary(spec):
         for a in row:
             w = ct.intern(a)
             tracks.append(zero if w is ct.zero else (w, TERMINAL))
@@ -201,10 +205,8 @@ def _gate_dd(uni: Universe, n: int, spec: GateSpec) -> tuple:
     for h in controls:
         if h < target:
             for k, t in enumerate(tracks):
-                if k in (0, 3):
-                    tracks[k] = uni._make_node((ident, zero, zero, t), h)
-                elif t[0] is not ct.zero:
-                    tracks[k] = uni._make_node((zero, zero, zero, t), h)
+                tracks[k] = uni._make_node(
+                    (ident if k in (0, 3) else zero, zero, zero, t), h)
     e = uni._make_node(tracks, target)
     for h in controls:
         if h > target:

@@ -82,11 +82,11 @@ def _kron_rebuild(uni: Universe, memo: dict, node, below):
     got = memo.get(node)
     if got is not None:
         return got
-    zero = uni.ctab.zero
     s = node.succ
-    edges = [(w, nxt if w is zero else _kron_rebuild(uni, memo, nxt, below))
+    edges = [(w, _kron_rebuild(uni, memo, nxt, below))
              for w, nxt in zip(s[::2], s[1::2])]
-    # weights were normalized already, so no factor comes back up
+    # weights were normalized already, so no factor comes back up, and
+    # _make_node drops the node under a zero weight
     res = memo[node] = uni._make_node(edges)[1]
     return res
 
@@ -373,7 +373,6 @@ def measure_all(uni: Universe, v: Edge, rng) -> str:
     dev = abs(total - 1.0)
     if dev > PROB_TOL:
         raise NormDriftError(f"state norm is {total!r}", deviation=dev)
-    zero = uni.ctab.zero
     branch = uni.cache.branch
     bits: list[str] = []
     node = v.node
@@ -381,11 +380,8 @@ def measure_all(uni: Universe, v: Edge, rng) -> str:
         w0, n0, w1, n1 = node.succ
         p0_share = branch.get(node)
         if p0_share is None:
-            p0 = p1 = 0.0
-            if w0 is not zero:
-                p0 = magnitude_squared(w0) * node_probability(uni, n0)
-            if w1 is not zero:
-                p1 = magnitude_squared(w1) * node_probability(uni, n1)
+            p0 = magnitude_squared(w0) * node_probability(uni, n0)
+            p1 = magnitude_squared(w1) * node_probability(uni, n1)
             p0_share = branch[node] = p0 / (p0 + p1)
         if rng.random() < p0_share:
             bits.append("0")

@@ -102,6 +102,24 @@ class TestParse:
             parse(text)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("text, kind, param, col", [
+        ("qubits 2\nrk 0 1\n", GateKind.RK, 0, 4),
+        ("qubits 2\ncp -3 0 1\n", GateKind.RK, -3, 4),
+        ("qubits 1\np inf 0\n", GateKind.PHASE, math.inf, 3),
+    ], ids=["rk-0", "cp-negative", "p-inf"])
+    def test_parameter_error_is_gate_specs(self, text, kind, param, col):
+        with pytest.raises(ValueError) as want:
+            GateSpec(kind, 0, param=param)
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"line 2, column {col}: {want.value}"
+
+    def test_bad_qubit_reported_before_bad_parameter(self):
+        with pytest.raises(ParseError) as err:
+            parse("qubits 2\nrk 0 5\n")
+        assert str(err.value) == \
+            "line 2, column 6: qubit 5 out of range for 2 qubits"
+
     def test_non_finite_angle(self):
         for tok in ("nan", "inf", "-inf", "1e999"):
             with pytest.raises(ParseError, match="finite") as err:
@@ -207,6 +225,15 @@ class TestCircuitValidation:
         with pytest.raises(ValueError):
             Circuit(2, (GateOp(GateSpec(GateKind.H, 1.0)), MeasureOp(1.0)))
         assert MeasureOp(np.int64(1)) == MeasureOp(1)
+
+    def test_rejects_stray_op(self):
+        h0, h1 = (GateOp(GateSpec(GateKind.H, q)) for q in (0, 1))
+        with pytest.raises(ValueError, match="not a circuit op: 'oops'"):
+            Circuit(2, (h0, h1, "oops", h0, h1))
+
+    def test_rejects_gate_op_without_gate_spec(self):
+        with pytest.raises(ValueError, match="not a circuit op"):
+            Circuit(1, (GateOp("h"),))
 
     def test_rejects_empty_register(self):
         with pytest.raises(ValueError):

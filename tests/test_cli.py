@@ -364,6 +364,7 @@ class TestDotCommand:
         code, _, err = invoke(capsys, "dot", path, "--gate", "5")
         assert code == 2
         assert "out of range" in err
+        assert err.startswith("error: gate index 5 out of range")
 
 
 def test_cli_import_does_not_load_numpy():

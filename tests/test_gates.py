@@ -72,6 +72,17 @@ class TestBase2x2:
         with pytest.raises(ValueError, match="unknown gate kind"):
             base2x2(kind, 1)
 
+    @pytest.mark.parametrize("kind, param", [
+        (GateKind.RK, 0), (GateKind.RK, None), (GateKind.PHASE, None),
+        (GateKind.PHASE, math.inf), (GateKind.PHASE, math.nan),
+        (GateKind.X, 3)])
+    def test_follows_gate_spec_rule(self, kind, param):
+        with pytest.raises(ValueError) as want:
+            GateSpec(kind, 0, param=param)
+        with pytest.raises(ValueError) as got:
+            base2x2(kind, param)
+        assert str(got.value) == str(want.value)
+
 
 class TestGateSpec:
     def test_target_cannot_be_control(self):
@@ -121,6 +132,12 @@ class TestGateSpec:
         assert spec == GateSpec(GateKind.X, 2, frozenset({0, 1}))
         assert type(spec.target) is int
         assert all(type(c) is int for c in spec.controls)
+
+    @pytest.mark.parametrize("param", [None, 0.5])
+    @pytest.mark.parametrize("kind", ["x", None, 0, []])
+    def test_unknown_kind_rejected(self, kind, param):
+        with pytest.raises(ValueError, match="unknown gate kind"):
+            GateSpec(kind, 0, param=param)
 
     def test_hashable_for_caching(self):
         a = GateSpec(GateKind.RK, 1, frozenset({0}), param=3)
