@@ -1,6 +1,5 @@
 """Quantum circuit simulation on edge-weighted decision diagrams."""
 
-from .cvalue import ComplexTable, ComplexValue, magnitude_squared
 from .dd import Edge, TERMINAL, Universe, count_nodes, export_dot
 from .ops import (NormDriftError, PROB_TOL, add, kron, measure_all,
                   measure_qubit, measure_top, multiply, node_probability,
@@ -14,7 +13,6 @@ from .engine import EngineConfig, SimStats, gate_dd_for, run, sample
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComplexTable", "ComplexValue", "magnitude_squared",
     "Edge", "TERMINAL", "Universe", "count_nodes", "export_dot",
     "NormDriftError", "PROB_TOL", "add", "kron", "measure_all",
     "measure_qubit", "measure_top", "multiply", "node_probability",

@@ -57,6 +57,7 @@ class Terminal:
 
     __slots__ = ()
     height = -1
+    mass = 1.0
 
     def __repr__(self) -> str:
         return "TERMINAL"
@@ -71,11 +72,12 @@ class Node:
     holds them as one flat tuple, (w0, n0, w1, n1) or (w00, n00, w01,
     n01, w10, n10, w11, n11), the node's unique-table key (an engine
     gate node's key is (height, succ)); ``edges`` returns them as Edge
-    views. ``size`` and ``levels`` memoize count_nodes and
-    qdd.ops._levels; a node's successors never change, so neither memo
-    goes stale."""
+    views. ``mass``, the summed |w|^2 * (successor's mass) in edge order,
+    is a vector node's probability mass, set here (the terminal's is 1).
+    ``size`` and ``levels`` memoize count_nodes and qdd.ops._levels; a
+    node's successors never change, so none of the three goes stale."""
 
-    __slots__ = ("height", "succ", "idx", "size", "levels")
+    __slots__ = ("height", "succ", "idx", "size", "levels", "mass")
 
     def __init__(self, height: int, succ: tuple, idx: int):
         self.height = height
@@ -83,6 +85,12 @@ class Node:
         self.idx = idx
         self.size = 0  # count_nodes memo; 0 until first counted
         self.levels = None  # _levels memo; None until first asked
+        mass = 0.0  # a plain sum: 3.12's sum() of floats is compensated
+        for i in range(0, len(succ), 2):
+            w = succ[i]
+            if w:
+                mass += (w.real * w.real + w.imag * w.imag) * succ[i + 1].mass
+        self.mass = mass
 
     @property
     def edges(self) -> tuple["Edge", ...]:
@@ -107,8 +115,8 @@ class ComputeCache:
 
     Keys embed operand identities (nodes and interned weight handles), so
     a hit returns exactly the edge recomputation would produce.
-    Measurement keeps ``prob``, a node's probability mass, and
-    ``branch``, a node's measure_all draw threshold; a projection onto an
+    Measurement keeps ``branch``, a node's measure_all draw threshold (a
+    node's probability mass is its own, Node.mass); a projection onto an
     outcome is a multiplication, memoized in ``mult``. ``gates`` holds the
     gate diagrams and the full operators, identities included. Garbage
     collection drops the whole cache, these memos included, because a
@@ -122,7 +130,7 @@ class ComputeCache:
     def clear(self) -> None:
         self.add: dict = {}
         self.mult: dict = {}
-        self.prob: dict = {}
+        self.prob: dict = {}  # always empty, until perfbench stops reading it
         self.branch: dict = {}
         self.gates: dict = {}
 

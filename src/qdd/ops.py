@@ -11,7 +11,7 @@ single weight ratio (add); both are exact rewrites, and they make the
 memoization hit on shared structure instead of on per-path weight
 products. Measurement multiplies the state with the projector onto an
 outcome; the outcome's probability is the projection's squared norm,
-read from node probabilities
+read from the masses nodes get when built (qdd.dd.Node.mass)
 
     p(node) = |w_l|^2 * p(left) + |w_r|^2 * p(right),   p(terminal) = 1,
 
@@ -220,29 +220,15 @@ def node_probability(uni: Universe, node) -> float:
     """Summed squared magnitudes of the sub-vector below ``node``.
 
     Weights on the way down count as |w|^2; the edge *into* the node is
-    the caller's business. Memoized per node."""
-    if node is TERMINAL:
-        return 1.0
-    cache = uni.cache.prob
-    hit = cache.get(node)
-    if hit is not None:
-        return hit
-    zero = uni.ctab.zero
-    p = 0.0
-    s = node.succ
-    for w, nxt in zip(s[::2], s[1::2]):
-        if w is not zero:
-            p += magnitude_squared(w) * node_probability(uni, nxt)
-    cache[node] = p
-    return p
+    the caller's business. Set when the node is built (Node.mass)."""
+    return node.mass
 
 
 def norm_squared(uni: Universe, v: Edge) -> float:
-    """Total probability mass of the state (1 for a normalized state),
-    read through the prob memo; ``v`` may be a (weight, node) pair."""
+    """Total probability mass of the state (1 for a normalized state);
+    ``v`` may be a (weight, node) pair."""
     w, node = v
-    return magnitude_squared(w) * (uni.cache.prob.get(node)
-                                   or node_probability(uni, node))
+    return magnitude_squared(w) * node.mass
 
 
 def qubit_probabilities(uni: Universe, v: Edge) -> tuple[float, float]:
@@ -365,8 +351,8 @@ def measure_all(uni: Universe, v: Edge, rng) -> str:
 
     Equivalent to measuring the top qubit and recursing into the observed
     branch, qubit by qubit; the conditional split at each node is its two
-    branch masses over the node probability, memoized per node in the
-    compute cache. One uniform draw per qubit.
+    branch masses over the node's, memoized per node in the compute
+    cache. One uniform draw per qubit.
     """
     uni._check_root(v, 2)
     total = norm_squared(uni, v)
@@ -380,8 +366,8 @@ def measure_all(uni: Universe, v: Edge, rng) -> str:
         w0, n0, w1, n1 = node.succ
         p0_share = branch.get(node)
         if p0_share is None:
-            p0 = magnitude_squared(w0) * node_probability(uni, n0)
-            p1 = magnitude_squared(w1) * node_probability(uni, n1)
+            p0 = magnitude_squared(w0) * n0.mass
+            p1 = magnitude_squared(w1) * n1.mass
             p0_share = branch[node] = p0 / (p0 + p1)
         if rng.random() < p0_share:
             bits.append("0")

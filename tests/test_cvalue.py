@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qdd import ComplexTable, magnitude_squared
-from qdd.cvalue import DEFAULT_TOL, ComplexValue
+from qdd.cvalue import (DEFAULT_TOL, ComplexTable, ComplexValue,
+                        magnitude_squared)
 
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False,
                    allow_infinity=False)

@@ -402,7 +402,8 @@ class TestQubitCap:
         (gc.enable if enabled else gc.disable)()
         try:
             with pytest.raises(ValueError) as err:
-                entry(gen_entangle(n), EngineConfig())
+                entry(parse(f"qubits {n}\nx 0\ncx 0 {n - 1}\n"),
+                      EngineConfig())
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was else gc.disable)()

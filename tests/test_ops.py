@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 import qdd.dense as dense
-from qdd import (GateKind, GateSpec, TERMINAL, Universe, add,
-                 build_gate_dd, count_nodes, gate_dd_for, identity_dd, kron,
-                 measure_all, measure_qubit, measure_top, multiply,
-                 node_probability, norm_squared, qubit_probabilities,
-                 NormDriftError)
+from qdd import (Circuit, EngineConfig, GateKind, GateSpec, MeasureAllOp,
+                 MeasureOp, TERMINAL, Universe, add, build_gate_dd,
+                 count_nodes, gate_dd_for, identity_dd, kron, measure_all,
+                 measure_qubit, measure_top, multiply, node_probability,
+                 norm_squared, qubit_probabilities, run, NormDriftError)
 from qdd.ops import _levels
 
 from _util import (assert_interned, assert_valid_state, cyclic_garbage,
-                   dd_matrix_to_array, dd_to_array, random_state)
+                   dd_matrix_to_array, dd_to_array, random_circuit,
+                   random_gate_spec, random_state)
 
 S = 1 / math.sqrt(2)
 
@@ -336,8 +337,79 @@ class TestNodeProbability:
 
     def test_memoized(self, uni):
         v = uni.build_vector(WORKED_VECTOR)
-        node_probability(uni, v.node)
-        assert v.node in uni.cache.prob
+        assert node_probability(uni, v.node) is v.node.mass
+
+
+def _summed_mass(node, memo: dict) -> float:
+    """A node's probability mass by recursion: |w|^2 as re*re + im*im
+    times the successor's mass, added left to right over the nonzero
+    weights, in edge order."""
+    if node is TERMINAL:
+        return 1.0
+    if node not in memo:
+        p = 0.0
+        s = node.succ
+        for w, nxt in zip(s[::2], s[1::2]):
+            if w != 0:
+                p += (w.real * w.real + w.imag * w.imag) * _summed_mass(
+                    nxt, memo)
+        memo[node] = p
+    return memo[node]
+
+
+def assert_masses_exact(uni: Universe) -> None:
+    """Every stored node's mass equals the recursion's float exactly: a
+    mass summed in another order, or by another formula, differs in the
+    last bit on some node (and on some Python)."""
+    memo: dict = {}
+    for node in uni._table.values():
+        assert node.mass == _summed_mass(node, memo), node
+
+
+class TestNodeMass:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_vectors_and_matrices(self, uni, seed):
+        rng = np.random.default_rng(seed)
+        for n in (1, 3, 5):
+            a = random_state(rng, n)
+            uni.build_vector(list(a))
+            a[rng.random(a.size) < 0.4] = 0
+            uni.build_vector(list(a))
+            m = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(
+                size=(1 << n, 1 << n))
+            uni.build_matrix(m.tolist())
+            m[rng.random(m.shape) < 0.4] = 0
+            uni.build_matrix(m.tolist())
+        assert_masses_exact(uni)
+        assert TERMINAL.mass == 1.0
+
+    def test_engine_gate_nodes(self, uni):
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            gate_dd_for(uni, 6, random_gate_spec(rng, 6), {})
+        # gate nodes are keyed (height, succ)
+        assert any(len(key) == 2 for key in uni._table)
+        assert_masses_exact(uni)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_universe_of_a_measured_run(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 5
+        ops = []
+        for i, op in enumerate(random_circuit(rng, n, 60).ops):
+            ops.append(op)
+            if i % 6 == 5:
+                ops.append(MeasureOp(int(rng.integers(n))))
+        ops.append(MeasureAllOp())
+        live = []
+
+        def check(uni, state, i):
+            assert_masses_exact(uni)
+            live.append(uni.live_nodes)
+        run(Circuit(n, ops), EngineConfig(seed=seed, gc_threshold=20),
+            on_op=check)
+        assert len(live) == len(ops)
+        assert max(live) > 20  # so the collector swept the table
 
 
 class TestQubitProbabilities:
@@ -480,14 +552,12 @@ def _by_value(edge):
 
 class TestCollapseMemo:
     def test_warm_remeasure_builds_no_node(self, uni, monkeypatch):
-        import qdd.ops
         a = random_state(np.random.default_rng(41), 6)
         v = uni.build_vector(list(a))
         for draw in (0.0, 0.9999999):
             first = measure_qubit(uni, v, 3, Forced(draw))
             calls = []
             make = uni._make_node
-            prob = qdd.ops.node_probability
             def counted(edges, height=None):
                 # the projector, the one node given a height, is found in
                 # the table; every product node is built height-less
@@ -495,8 +565,6 @@ class TestCollapseMemo:
                     calls.append(edges)
                 return make(edges, height)
             monkeypatch.setattr(uni, "_make_node", counted)
-            monkeypatch.setattr(qdd.ops, "node_probability",
-                                lambda *args: calls.append(args) or prob(*args))
             again = measure_qubit(uni, v, 3, Forced(draw))
             monkeypatch.undo()
             assert calls == []
@@ -707,8 +775,7 @@ class TestMeasureAll:
                 node = n1
         return "".join(bits)
 
-    def test_warm_state_costs_a_lookup_per_level(self, uni, monkeypatch):
-        import qdd.ops as ops
+    def test_warm_state_costs_a_lookup_per_level(self, uni):
         rng_np = np.random.default_rng(17)
         v = uni.build_vector(list(random_state(rng_np, 6)))
 
@@ -716,13 +783,11 @@ class TestMeasureAll:
             rng = random.Random(seed)
             return [sample(uni, v, rng) for _ in range(50)]
         cold = [shots(measure_all, seed) for seed in range(8)]
-        calls = []
-        probability = ops.node_probability
-        monkeypatch.setattr(ops, "node_probability", lambda uni, node: (
-            calls.append(node) or probability(uni, node)))
+        memo = dict(uni.cache.branch)
+        assert memo
         # the same draws revisit only nodes whose threshold is memoized
         assert [shots(measure_all, seed) for seed in range(8)] == cold
-        assert calls == []
+        assert uni.cache.branch == memo
         assert [shots(self._walk, seed) for seed in range(8)] == cold
 
 

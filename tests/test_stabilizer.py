@@ -12,7 +12,8 @@ import random
 import pytest
 
 from qdd import (Circuit, EngineConfig, GateKind, GateOp, GateSpec,
-                 MeasureOp, magnitude_squared, node_probability, run)
+                 MeasureOp, node_probability, run)
+from qdd.cvalue import magnitude_squared
 
 from _tableau import Tableau
 
