@@ -2,8 +2,8 @@
 
 from .dd import Edge, TERMINAL, Universe, count_nodes, export_dot
 from .ops import (NormDriftError, PROB_TOL, add, kron, measure_all,
-                  measure_qubit, measure_top, multiply, node_probability,
-                  norm_squared, qubit_probabilities)
+                  measure_qubit, measure_top, multiply, norm_squared,
+                  qubit_probabilities)
 from .gates import GateKind, GateSpec, base2x2, build_gate_dd, identity_dd
 from .circuit import (Circuit, GateOp, MeasureAllOp, MeasureOp,
                       ParseError, gen_entangle, gen_grover, gen_qft,
@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Edge", "TERMINAL", "Universe", "count_nodes", "export_dot",
     "NormDriftError", "PROB_TOL", "add", "kron", "measure_all",
-    "measure_qubit", "measure_top", "multiply", "node_probability",
-    "norm_squared", "qubit_probabilities",
+    "measure_qubit", "measure_top", "multiply", "norm_squared",
+    "qubit_probabilities",
     "GateKind", "GateSpec", "base2x2", "build_gate_dd", "identity_dd",
     "Circuit", "GateOp", "MeasureAllOp", "MeasureOp",
     "ParseError", "gen_entangle", "gen_grover", "gen_qft",

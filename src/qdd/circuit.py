@@ -22,6 +22,7 @@ import math
 import re
 from dataclasses import dataclass
 
+from .dd import _check_bits
 from .gates import _FIXED, GateKind, GateSpec, _qubit_index
 
 
@@ -80,34 +81,24 @@ class ParseError(ValueError):
         self.col = col
 
 
-def _int_tok(tok: str, line: int, col: int, what: str) -> int:
+def _num_tok(tok: str, line: int, col: int, what: str, convert=int):
     try:
-        return int(tok)
+        return convert(tok)
     except ValueError:
         raise ParseError(f"expected {what}, got {tok!r}", line, col) from None
 
 
-def _angle_tok(tok: str, line: int, col: int) -> float:
-    try:
-        return float(tok)
-    except ValueError:
-        raise ParseError(f"expected an angle, got {tok!r}", line, col) from None
-
-
-def _rk_tok(tok: str, line: int, col: int) -> int:
-    return _int_tok(tok, line, col, "an integer k")
-
-
-# Gate word -> (kind, parameter reader or None, control count: 0, 1 or
-# None for one or more). Arguments are the parameter (a reader converts
-# it, GateSpec judges it), then the controls, then the target. serialize
-# writes a gate with the first word that fits it, so "cx" before "mcx".
+# Gate word -> (kind, parameter's (description, converter) or None,
+# control count: 0, 1 or None for one or more). Arguments are the
+# parameter (GateSpec judges it), then the controls, then the target.
+# serialize writes a gate with the first word that fits, so "cx" before
+# "mcx", and converts its parameter too: a numpy angle's repr won't parse.
 _GATES = {
     **{k.value: (k, None, 0) for k in _FIXED},
-    "p": (GateKind.PHASE, _angle_tok, 0),
-    "rk": (GateKind.RK, _rk_tok, 0),
+    "p": (GateKind.PHASE, ("an angle", float), 0),
+    "rk": (GateKind.RK, ("an integer k", int), 0),
     "cx": (GateKind.X, None, 1),
-    "cp": (GateKind.RK, _rk_tok, 1),
+    "cp": (GateKind.RK, ("an integer k", int), 1),
     "mcx": (GateKind.X, None, None),
     "mcz": (GateKind.Z, None, None),
 }
@@ -120,7 +111,7 @@ def parse(text: str, name: str = "circuit") -> Circuit:
     last_line = 0
 
     def qubit(tok: str, line: int, col: int) -> int:
-        q = _int_tok(tok, line, col, "a qubit index")
+        q = _num_tok(tok, line, col, "a qubit index")
         if not 0 <= q < n_qubits:
             raise ParseError(f"qubit {q} out of range for {n_qubits} qubits",
                              line, col)
@@ -139,7 +130,7 @@ def parse(text: str, name: str = "circuit") -> Circuit:
                 raise ParseError("expected 'qubits <N>' header", lineno, col)
             if len(args) != 1:
                 raise ParseError("'qubits' takes one count", lineno, col)
-            n_qubits = _int_tok(args[0][0], lineno, args[0][1], "a qubit count")
+            n_qubits = _num_tok(args[0][0], lineno, args[0][1], "a qubit count")
             if n_qubits < 1:
                 raise ParseError("qubit count must be positive",
                                  lineno, args[0][1])
@@ -162,16 +153,16 @@ def parse(text: str, name: str = "circuit") -> Circuit:
         elif word not in _GATES:
             raise ParseError(f"unknown instruction {word!r}", lineno, col)
         else:
-            kind, read_param, n_controls = _GATES[word]
+            kind, param_rule, n_controls = _GATES[word]
             if n_controls is None:
                 if len(args) < 2:
                     raise ParseError(f"'{word}' needs at least one control and"
                                      " a target", lineno, col)
             else:
-                need((read_param is not None) + n_controls + 1)
+                need((param_rule is not None) + n_controls + 1)
             param = None
-            if read_param is not None:
-                param = read_param(args[0][0], lineno, args[0][1])
+            if param_rule is not None:
+                param = _num_tok(args[0][0], lineno, args[0][1], *param_rule)
                 args = args[1:]
             qs = [qubit(tok, lineno, c) for tok, c in args]
             if len(set(qs)) != len(qs):
@@ -198,16 +189,15 @@ def serialize(circuit: Circuit) -> str:
         else:
             spec = op.spec
             cs = sorted(spec.controls)
-            for word, (kind, read_param, n_controls) in _GATES.items():
+            for word, (kind, param_rule, n_controls) in _GATES.items():
                 if kind is spec.kind and (
                         bool(cs) if n_controls is None
                         else len(cs) == n_controls):
                     break
             else:
                 raise ValueError(f"no text form for {spec!r}")
-            # an angle as a float: a numpy float's repr would not parse
-            param = [] if read_param is None else [repr(
-                spec.param if spec.kind is GateKind.RK else float(spec.param))]
+            param = [] if param_rule is None else [
+                repr(param_rule[1](spec.param))]
             lines.append(" ".join([word, *param, *map(str, cs),
                                    str(spec.target)]))
     return "\n".join(lines) + "\n"
@@ -231,8 +221,7 @@ def gen_qft(n: int, bits: str) -> Circuit:
     swaps spelled as CNOT triples so the output matches the DFT matrix
     column directly.
     """
-    if len(bits) != n or any(b not in "01" for b in bits):
-        raise ValueError(f"need a length-{n} bitstring, got {bits!r}")
+    _check_bits(n, bits)
     ops: list[CircuitOp] = []
     for q, b in enumerate(bits):
         if b == "1":
@@ -263,8 +252,7 @@ def gen_grover(n: int, marked: str) -> Circuit:
     diffusion: H layer, X layer, multi-controlled Z, X layer, H layer.
     No ancilla qubits.
     """
-    if len(marked) != n or any(b not in "01" for b in marked):
-        raise ValueError(f"need a length-{n} bitstring, got {marked!r}")
+    _check_bits(n, marked)
     ops: list[CircuitOp] = [GateOp(GateSpec(GateKind.H, q)) for q in range(n)]
     controls = frozenset(range(n - 1))
 

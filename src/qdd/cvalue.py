@@ -145,13 +145,6 @@ class ComplexTable:
             return self.zero
         return self.intern(a * b)
 
-    def cadd(self, a: ComplexValue, b: ComplexValue) -> ComplexValue:
-        if a is self.zero:
-            return b
-        if b is self.zero:
-            return a
-        return self.intern(a + b)
-
     def cdiv(self, a: ComplexValue, b: ComplexValue) -> ComplexValue:
         if b is self.one:
             return a

@@ -236,8 +236,7 @@ class Universe:
 
     def basis_state(self, n: int, bits: str) -> Edge:
         """The computational basis state |bits>, one node per qubit."""
-        if len(bits) != n or any(b not in "01" for b in bits):
-            raise ValueError(f"need a length-{n} bitstring, got {bits!r}")
+        _check_bits(n, bits)
         edge = (self.ctab.one, TERMINAL)
         zero = self.zero_edge
         for b in reversed(bits):
@@ -335,6 +334,11 @@ class Universe:
         self._table = {k: nd for k, nd in self._table.items() if nd in live}
         self.cache.clear()
         return before - len(self._table)
+
+
+def _check_bits(n: int, bits: str) -> None:
+    if len(bits) != n or any(b not in "01" for b in bits):
+        raise ValueError(f"need a length-{n} bitstring, got {bits!r}")
 
 
 # Recursions take explicit arguments instead of closing over them: a

@@ -120,7 +120,7 @@ def _add(uni: Universe, p: tuple, q: tuple) -> tuple:
     if qw is ct.zero:
         return p
     if pn is TERMINAL:
-        return ct.cadd(pw, qw), TERMINAL
+        return ct.intern(pw + qw), TERMINAL
     # Deterministic operand order makes the cache line commutative.
     if (qn.idx, qw.idx) < (pn.idx, pw.idx):
         pw, qw = qw, pw
@@ -215,14 +215,6 @@ def _mul_nodes(uni: Universe, un, vn) -> tuple:
 
 
 # -- probabilities and measurement ------------------------------------------
-
-def node_probability(uni: Universe, node) -> float:
-    """Summed squared magnitudes of the sub-vector below ``node``.
-
-    Weights on the way down count as |w|^2; the edge *into* the node is
-    the caller's business. Set when the node is built (Node.mass)."""
-    return node.mass
-
 
 def norm_squared(uni: Universe, v: Edge) -> float:
     """Total probability mass of the state (1 for a normalized state);

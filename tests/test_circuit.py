@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import qdd.dense as dense
 from qdd import (Circuit, GateKind, GateOp, GateSpec, MeasureAllOp, MeasureOp,
-                 ParseError, gen_entangle, gen_grover, gen_qft,
+                 ParseError, Universe, gen_entangle, gen_grover, gen_qft,
                  grover_iterations, parse, serialize)
 
 from _util import dft_matrix
@@ -96,7 +96,14 @@ class TestParse:
          "line 2, column 3: expected an angle, got 'abc'"),
         ("qubits 2\nmcx 1\n",
          "line 2, column 1: 'mcx' needs at least one control and a target"),
-    ], ids=["no-qubits", "two-counts", "bad-angle", "no-control"])
+        ("qubits two\n",
+         "line 1, column 8: expected a qubit count, got 'two'"),
+        ("qubits 2\nx 0.5\n",
+         "line 2, column 3: expected a qubit index, got '0.5'"),
+        ("qubits 2\ncp 1.5 0 1\n",
+         "line 2, column 4: expected an integer k, got '1.5'"),
+    ], ids=["no-qubits", "two-counts", "bad-angle", "no-control",
+            "bad-count", "bad-qubit", "bad-rk-order"])
     def test_malformed_word_message(self, text, message):
         with pytest.raises(ParseError) as err:
             parse(text)
@@ -317,6 +324,17 @@ class TestGenGrover:
     def test_marked_state_amplified_n8(self):
         out = dense.run_circuit(gen_grover(8, "10110001"))
         assert abs(out[int("10110001", 2)]) ** 2 >= 0.99
+
+    @pytest.mark.parametrize("make, n, bits", [
+        (gen_qft, 3, "01"), (gen_qft, 3, "0a1"), (gen_grover, 2, "012"),
+        (gen_grover, 2, "1 "),
+        (lambda n, bits: Universe().basis_state(n, bits), 2, "1x"),
+    ], ids=["qft-short", "qft-letter", "grover-long", "grover-space",
+            "basis-state"])
+    def test_one_bitstring_rule(self, make, n, bits):
+        with pytest.raises(ValueError) as err:
+            make(n, bits)
+        assert str(err.value) == f"need a length-{n} bitstring, got {bits!r}"
 
     def test_generators_reference_valid_qubits(self):
         for c in (gen_entangle(6), gen_qft(5, "10101"), gen_grover(4, "0110")):

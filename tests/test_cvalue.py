@@ -75,7 +75,7 @@ def test_cmul_identities(table):
 
 def test_cadd_doubles_to_sqrt2(table):
     s = table.sqrt2_inv
-    r = table.cadd(s, s)
+    r = table.intern(s + s)
     assert r.real == pytest.approx(math.sqrt(2), abs=1e-15)
     assert r.imag == 0.0
 
@@ -146,7 +146,7 @@ def test_arithmetic_matches_python_complex(a, b):
     # the arithmetic is checked on the values the handles hold
     ac, bc = complex(ah), complex(bh)
     assert within_component_tol(table.cmul(ah, bh), ac * bc, DEFAULT_TOL)
-    assert within_component_tol(table.cadd(ah, bh), ac + bc, DEFAULT_TOL)
+    assert within_component_tol(table.intern(ah + bh), ac + bc, DEFAULT_TOL)
     if abs(bc) >= 1e-3:
         assert within_component_tol(table.cdiv(ah, bh), ac / bc, DEFAULT_TOL)
 
@@ -170,7 +170,7 @@ def bits(z: complex) -> tuple[str, str]:
 
 @given(a=st.tuples(wide, wide), b=st.tuples(wide, wide))
 def test_cmul_and_cadd_round_like_the_component_formulas(a, b):
-    # cmul and cadd intern Python's complex product and sum, which must
+    # cmul and _add intern Python's complex product and sum, which must
     # round exactly like these formulas; a C complex product that fuses
     # multiply and add (FMA) fails here instead of moving every result
     table = ComplexTable()
@@ -180,7 +180,7 @@ def test_cmul_and_cadd_round_like_the_component_formulas(a, b):
     total = complex(x.real + y.real, x.imag + y.imag)
     assert bits(x * y) == bits(prod) and bits(x + y) == bits(total)
     assert table.cmul(x, y) is table.intern(prod)
-    assert table.cadd(x, y) is table.intern(total)
+    assert table.intern(x + y) is table.intern(total)
 
 
 def test_handles_are_complex_numbers(table):

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import gc
 import math
@@ -14,7 +15,7 @@ from qdd import (TERMINAL, Circuit, Edge, EngineConfig, GateKind, GateOp,
                  GateSpec, MeasureAllOp, NormDriftError, SimStats, Universe,
                  add, build_gate_dd, count_nodes, gate_dd_for, gen_entangle,
                  gen_qft, identity_dd, kron, measure_qubit, measure_top,
-                 multiply, node_probability, parse, run, sample)
+                 multiply, parse, run, sample)
 
 from _util import (cyclic_garbage, dft_matrix, flat_key, random_circuit,
                    random_gate_spec)
@@ -297,6 +298,35 @@ class TestNormCheck:
         assert (err.value.op_index, err.value.deviation) == (2, 0.25)
 
 
+class TestQftClosedForm:
+    """QFT of |x> against its closed form, e^{2 pi i xk / 2^n} / 2^{n/2}
+    at index k, read one amplitude at a time, so at any qubit count. The
+    rule, fixed before the first run: x, then 64 indices k, drawn from
+    random.Random(n); amplitudes scaled by 2^{n/2} within perfbench's
+    AMP_TOL. At 64 qubits every input tried meets the precision wall
+    (ROADMAP item 10) at one of the last Hadamards."""
+
+    AMP_TOL = 1e-8
+
+    @pytest.mark.parametrize("n", [16, 32, 48, 63, pytest.param(
+        64, marks=pytest.mark.xfail(
+            raises=NormDriftError, strict=True,
+            reason="ROADMAP item 10: after 64 Hadamards the root weight "
+                   "2^-32 interns onto the 2^-31.5 entry"))])
+    def test_amplitudes_match_the_dft(self, n):
+        rng = random.Random(n)
+        x = rng.getrandbits(n)
+        unis = []
+        state, _ = run(gen_qft(n, format(x, f"0{n}b")),
+                       on_op=lambda uni, state, i: unis.append(uni))
+        scale = math.sqrt(2.0 ** n)
+        for _ in range(64):
+            k = rng.randrange(1 << n)
+            want = cmath.exp(2j * math.pi * ((x * k) % (1 << n)) / 2 ** n)
+            got = unis[0].read_amplitude(state, n, k) * scale
+            assert abs(got - want) <= self.AMP_TOL, (k, got, want)
+
+
 class TestCollectorPause:
     MID = TestNodeCountMemo.MID
 
@@ -544,7 +574,7 @@ class TestPublicEdgeView:
         dense_g = np.array([[uni.read_matrix_entry(gate, 3, r, c)
                              for c in range(8)] for r in range(8)])
         for e, block in ((m, dense_m), (gate, dense_g)):
-            assert node_probability(uni, e.node) == pytest.approx(
+            assert e.node.mass == pytest.approx(
                 np.sum(np.abs(block) ** 2) / abs(e.w) ** 2, rel=1e-12)
 
     def test_replay_walk_counts_what_count_nodes_counts(self):

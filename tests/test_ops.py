@@ -8,8 +8,8 @@ import qdd.dense as dense
 from qdd import (Circuit, EngineConfig, GateKind, GateSpec, MeasureAllOp,
                  MeasureOp, TERMINAL, Universe, add, build_gate_dd,
                  count_nodes, gate_dd_for, identity_dd, kron, measure_all,
-                 measure_qubit, measure_top, multiply, node_probability,
-                 norm_squared, qubit_probabilities, run, NormDriftError)
+                 measure_qubit, measure_top, multiply, norm_squared,
+                 qubit_probabilities, run, NormDriftError)
 from qdd.ops import _levels
 
 from _util import (assert_interned, assert_valid_state, cyclic_garbage,
@@ -328,16 +328,12 @@ class TestNodeProbability:
         left_q1 = top.edges[0].node
         right_q1 = top.edges[1].node
         q2 = right_q1.edges[0].node
-        assert node_probability(uni, q2) == pytest.approx(1.0, abs=1e-12)
-        assert node_probability(uni, right_q1) == pytest.approx(3.0, abs=1e-12)
-        assert node_probability(uni, left_q1) == pytest.approx(1.0, abs=1e-12)
+        assert q2.mass == pytest.approx(1.0, abs=1e-12)
+        assert right_q1.mass == pytest.approx(3.0, abs=1e-12)
+        assert left_q1.mass == pytest.approx(1.0, abs=1e-12)
 
     def test_terminal_base_case(self, uni):
-        assert node_probability(uni, TERMINAL) == 1.0
-
-    def test_memoized(self, uni):
-        v = uni.build_vector(WORKED_VECTOR)
-        assert node_probability(uni, v.node) is v.node.mass
+        assert TERMINAL.mass == 1.0
 
 
 def _summed_mass(node, memo: dict) -> float:
@@ -764,9 +760,9 @@ class TestMeasureAll:
             w0, n0, w1, n1 = node.succ
             p0 = p1 = 0.0
             if w0 is not uni.ctab.zero:
-                p0 = magnitude_squared(w0) * node_probability(uni, n0)
+                p0 = magnitude_squared(w0) * n0.mass
             if w1 is not uni.ctab.zero:
-                p1 = magnitude_squared(w1) * node_probability(uni, n1)
+                p1 = magnitude_squared(w1) * n1.mass
             if rng.random() < p0 / (p0 + p1):
                 bits.append("0")
                 node = n0

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from qdd import (Circuit, EngineConfig, GateKind, GateOp, GateSpec,
-                 MeasureOp, node_probability, run)
+                 MeasureOp, run)
 from qdd.cvalue import magnitude_squared
 
 from _tableau import Tableau
@@ -72,7 +72,7 @@ def marginals(uni, state, n: int) -> list[float]:
                 if share:
                     below[child] = below.get(child, 0.0) + share
                     if bit:
-                        p1 += share * node_probability(uni, child)
+                        p1 += share * child.mass
         mass = below
         ones.append(p1)
     return ones
