@@ -82,10 +82,14 @@ class ParseError(ValueError):
 
 
 def _num_tok(tok: str, line: int, col: int, what: str, convert=int):
+    """``convert(tok)`` for an ASCII token without '_': int() and float()
+    also read digit separators and non-ASCII digits."""
     try:
-        return convert(tok)
+        if tok.isascii() and "_" not in tok:
+            return convert(tok)
     except ValueError:
-        raise ParseError(f"expected {what}, got {tok!r}", line, col) from None
+        pass
+    raise ParseError(f"expected {what}, got {tok!r}", line, col)
 
 
 # Gate word -> (kind, parameter's (description, converter) or None,
@@ -253,26 +257,10 @@ def gen_grover(n: int, marked: str) -> Circuit:
     No ancilla qubits.
     """
     _check_bits(n, marked)
-    ops: list[CircuitOp] = [GateOp(GateSpec(GateKind.H, q)) for q in range(n)]
-    controls = frozenset(range(n - 1))
-
-    def mcz():
-        ops.append(GateOp(GateSpec(GateKind.Z, n - 1, controls)))
-
-    def layer(kind: GateKind, pred=lambda q: True):
-        for q in range(n):
-            if pred(q):
-                ops.append(GateOp(GateSpec(kind, q)))
-
-    for _ in range(grover_iterations(n)):
-        # oracle: phase flip on |marked>
-        layer(GateKind.X, lambda q: marked[q] == "0")
-        mcz()
-        layer(GateKind.X, lambda q: marked[q] == "0")
-        # diffusion: inversion about the mean
-        layer(GateKind.H)
-        layer(GateKind.X)
-        mcz()
-        layer(GateKind.X)
-        layer(GateKind.H)
-    return Circuit(n, tuple(ops), f"grover-{n}")
+    h = [GateOp(GateSpec(GateKind.H, q)) for q in range(n)]
+    x = [GateOp(GateSpec(GateKind.X, q)) for q in range(n)]
+    flip = [op for op, b in zip(x, marked) if b == "0"]
+    mcz = [GateOp(GateSpec(GateKind.Z, n - 1, frozenset(range(n - 1))))]
+    # oracle: phase flip on |marked>; diffusion: inversion about the mean
+    step = flip + mcz + flip + h + x + mcz + x + h
+    return Circuit(n, tuple(h + step * grover_iterations(n)), f"grover-{n}")

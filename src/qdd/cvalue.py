@@ -133,16 +133,14 @@ class ComplexTable:
         return value
 
     # Arithmetic is exact double-precision on the components; only the
-    # result goes back through intern(). Shortcuts on the canonical 0/1
-    # handles keep hot paths cheap and exact.
+    # result goes back through intern(), which maps a product's -0.0 onto
+    # zero. Shortcuts on the canonical 1 handle keep hot paths cheap.
 
     def cmul(self, a: ComplexValue, b: ComplexValue) -> ComplexValue:
         if a is self.one:
             return b
         if b is self.one:
             return a
-        if a is self.zero or b is self.zero:
-            return self.zero
         return self.intern(a * b)
 
     def cdiv(self, a: ComplexValue, b: ComplexValue) -> ComplexValue:
@@ -153,8 +151,6 @@ class ComplexTable:
         d = br * br + bi * bi
         if d < DEFAULT_TOL * DEFAULT_TOL:
             raise ZeroDivisionError(f"divisor magnitude below tolerance: {b!r}")
-        if a is self.zero:
-            return self.zero
         ar, ai = a.real, a.imag
         return self.intern(complex((ar * br + ai * bi) / d,
                                    (ai * br - ar * bi) / d))

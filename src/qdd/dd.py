@@ -14,10 +14,11 @@ i.e. row index = output basis state, column index = input basis state, and
 e01 is the upper-right quadrant. An entry is the product of the edge
 weights along its root-to-terminal path.
 
-Both kinds share one Node type. Inside the package an edge is a plain
-(weight, node) pair, read by unpacking: recursion results and cache
-values are pairs. A node stores its successors inline, as one flat tuple
-(w0, n0, w1, n1) or (w00, n00, ..., w11, n11), its unique-table key.
+Both kinds share one Node type, and so does the terminal, a node with
+no successors. Inside the package an edge is a plain (weight, node)
+pair, read by unpacking: recursion results and cache values are pairs.
+A node stores its successors inline, as one flat tuple (w0, n0, w1, n1)
+or (w00, n00, ..., w11, n11), its unique-table key.
 Edge is the public, named view of a pair; every exported function
 returns one, and Node.edges views a node's successors as Edges. Edges
 compare and hash as their pairs do. Universe.make_node reduces and
@@ -47,30 +48,16 @@ meaningful within the universe that created them.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence
 
 from .cvalue import ComplexTable, ComplexValue
 
 
-class Terminal:
-    """The unique sink: a 1-dimensional vector / 1x1 matrix holding 1."""
-
-    __slots__ = ()
-    height = -1
-    mass = 1.0
-
-    def __repr__(self) -> str:
-        return "TERMINAL"
-
-
-TERMINAL = Terminal()
-
-
 class Node:
-    """A nonterminal: its height and successors, two for a vector node
-    (e0, e1) and four for a matrix node (e00, e01, e10, e11). ``succ``
-    holds them as one flat tuple, (w0, n0, w1, n1) or (w00, n00, w01,
-    n01, w10, n10, w11, n11), the node's unique-table key (an engine
+    """A node: its height and successors, two for a vector node (e0, e1)
+    and four for a matrix node (e00, e01, e10, e11), none for TERMINAL.
+    ``succ`` holds them as one flat tuple, (w0, n0, w1, n1) or (w00, n00,
+    w01, n01, w10, n10, w11, n11), the node's unique-table key (an engine
     gate node's key is (height, succ)); ``edges`` returns them as Edge
     views. ``mass``, the summed |w|^2 * (successor's mass) in edge order,
     is a vector node's probability mass, set here (the terminal's is 1).
@@ -101,13 +88,20 @@ class Node:
         return f"<Node h{self.height} #{self.idx}>"
 
 
+# The unique sink, a 1-dimensional vector / 1x1 matrix holding 1: height
+# -1, no successors, probability mass 1 and no levels below it.
+TERMINAL = Node(-1, (), -1)
+TERMINAL.mass = 1.0
+TERMINAL.levels = (0, 0)
+
+
 class Edge(NamedTuple):
     """A weighted pointer to a node or the terminal; vector and matrix
     diagrams share this type and differ only in their nodes' arity. The
     public view of the package's (weight, node) pairs, equal to them."""
 
     w: ComplexValue
-    node: Union[Node, Terminal]
+    node: Node
 
 
 class ComputeCache:
@@ -396,8 +390,6 @@ def _reachable(roots: Iterable[Edge]) -> dict[Node, None]:
 def count_nodes(edge: Edge) -> int:
     """Number of distinct nonterminal nodes reachable from ``edge``,
     memoized on the root node, whose successors never change."""
-    if edge.node is TERMINAL:
-        return 0
     if not edge.node.size:
         edge.node.size = len(_reachable((edge,)))
     return edge.node.size

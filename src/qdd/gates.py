@@ -195,11 +195,7 @@ def _gate_dd(uni: Universe, n: int, spec: GateSpec) -> tuple:
     ident = (ct.one, TERMINAL)
     target = n - 1 - spec.target
     controls = sorted(n - 1 - c for c in spec.controls)
-    tracks = []
-    for row in _unitary(spec):
-        for a in row:
-            w = ct.intern(a)
-            tracks.append(zero if w is ct.zero else (w, TERMINAL))
+    tracks = [(ct.intern(a), TERMINAL) for row in _unitary(spec) for a in row]
     # input/output 0 on a control: the gate never fires, so the diagonal
     # tracks take the identity in e00, the others zero
     for h in controls:

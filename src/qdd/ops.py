@@ -44,7 +44,7 @@ class NormDriftError(RuntimeError):
 
 def _arity(e: tuple) -> int:
     """2 for a vector root, 4 for a matrix root, 0 for the terminal."""
-    return 0 if e[1] is TERMINAL else len(e[1].succ) // 2
+    return len(e[1].succ) // 2
 
 
 def _edge(uni: Universe, w: ComplexValue, node) -> tuple:
@@ -67,10 +67,7 @@ def kron(uni: Universe, a: Edge, b: Edge) -> Edge:
         raise ValueError("kron of a vector and a matrix")
     uni._check_root(a)
     uni._check_root(b)
-    ct = uni.ctab
-    if a.w is ct.zero or b.w is ct.zero:
-        return uni.zero_edge
-    return Edge(*_edge(uni, ct.cmul(a.w, b.w),
+    return Edge(*_edge(uni, uni.ctab.cmul(a.w, b.w),
                        _kron_rebuild(uni, {}, a.node, b.node)))
 
 
@@ -237,9 +234,7 @@ def _levels(uni: Universe, node) -> tuple[int, int]:
     under the vector node ``node``, itself included, has a nonzero |0>
     successor; ones likewise for |1>. Every nonzero path visits every
     height, so a clear bit means no amplitude takes that value on that
-    qubit. Memoized in ``Node.levels``; (0, 0) for the terminal."""
-    if node is TERMINAL:
-        return 0, 0
+    qubit. Memoized in ``Node.levels``, which TERMINAL holds as (0, 0)."""
     got = node.levels
     if got is not None:
         return got

@@ -102,8 +102,16 @@ class TestParse:
          "line 2, column 3: expected a qubit index, got '0.5'"),
         ("qubits 2\ncp 1.5 0 1\n",
          "line 2, column 4: expected an integer k, got '1.5'"),
+        # int() and float() read these as 10, 3 and 5.0
+        ("qubits 1_0\n",
+         "line 1, column 8: expected a qubit count, got '1_0'"),
+        ("qubits 4\nx \uff13\n",
+         "line 2, column 3: expected a qubit index, got '\uff13'"),
+        ("qubits 2\np 0_5 1\n",
+         "line 2, column 3: expected an angle, got '0_5'"),
     ], ids=["no-qubits", "two-counts", "bad-angle", "no-control",
-            "bad-count", "bad-qubit", "bad-rk-order"])
+            "bad-count", "bad-qubit", "bad-rk-order", "underscore-count",
+            "full-width-qubit", "underscore-angle"])
     def test_malformed_word_message(self, text, message):
         with pytest.raises(ParseError) as err:
             parse(text)

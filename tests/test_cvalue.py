@@ -73,6 +73,17 @@ def test_cmul_identities(table):
     assert table.cmul(x, table.zero) is table.zero
 
 
+@pytest.mark.parametrize("z", [complex(-0.25, -0.75), complex(-1.5, 0.5),
+                               complex(0.5, -2.0), complex(-1.0, 0.0)])
+def test_zero_operand_gives_the_zero_handle(table, z):
+    # no zero shortcut: a product or quotient with 0 holds -0.0
+    # components, which intern onto the 0 handle like any result
+    x = table.intern(z)
+    assert table.cmul(table.zero, x) is table.zero
+    assert table.cmul(x, table.zero) is table.zero
+    assert table.cdiv(table.zero, x) is table.zero
+
+
 def test_cadd_doubles_to_sqrt2(table):
     s = table.sqrt2_inv
     r = table.intern(s + s)

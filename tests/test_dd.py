@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qdd import TERMINAL, Edge, Universe, count_nodes, export_dot
 from qdd.cvalue import DEFAULT_TOL
-from qdd.dd import _reachable
+from qdd.dd import Node, _reachable
 
 from _util import (assert_canonical, assert_interned, cyclic_garbage,
                    dd_matrix_to_array, dd_to_array, flat_key)
@@ -22,6 +22,18 @@ WORKED_VECTOR = [0, 0, 0.5, 0, 0.5, 0, -S, 0]
 @pytest.fixture
 def uni():
     return Universe()
+
+
+class TestTerminal:
+    def test_is_a_node_with_the_base_cases_in_its_slots(self):
+        # _levels and count_nodes read these instead of testing for it
+        assert isinstance(TERMINAL, Node)
+        assert (TERMINAL.height, TERMINAL.succ) == (-1, ())
+        assert TERMINAL.mass == 1.0 and TERMINAL.levels == (0, 0)
+
+    def test_counts_no_nodes(self, uni):
+        assert count_nodes(uni.zero_edge) == 0
+        assert count_nodes(Edge(uni.ctab.one, TERMINAL)) == 0
 
 
 class TestMakeVectorNode:

@@ -14,7 +14,7 @@ import qdd.dense as dense
 from qdd import (TERMINAL, Circuit, Edge, EngineConfig, GateKind, GateOp,
                  GateSpec, MeasureAllOp, NormDriftError, SimStats, Universe,
                  add, build_gate_dd, count_nodes, gate_dd_for, gen_entangle,
-                 gen_qft, identity_dd, kron, measure_qubit, measure_top,
+                 gen_grover, gen_qft, grover_iterations, identity_dd, kron, measure_qubit, measure_top,
                  multiply, parse, run, sample)
 
 from _util import (cyclic_garbage, dft_matrix, flat_key, random_circuit,
@@ -325,6 +325,48 @@ class TestQftClosedForm:
             want = cmath.exp(2j * math.pi * ((x * k) % (1 << n)) / 2 ** n)
             got = unis[0].read_amplitude(state, n, k) * scale
             assert abs(got - want) <= self.AMP_TOL, (k, got, want)
+
+
+class TestGroverClosedForm:
+    """Grover amplitudes against their closed form: after iteration k
+    the marked one has modulus |sin((2k+1)θ)| and every other one
+    |cos((2k+1)θ)| / sqrt(2^n - 1), with sin θ = 2^(-n/2), read through
+    on_op after the H layer (k = 0) and after each iteration. The rule,
+    fixed before the first run: every even n from 2 to 16, the marked
+    pattern and then 8 other indices drawn from random.Random(n), within
+    AMP_TOL. The n = 14 draw drifts at its last op (ROADMAP item 10),
+    as the pattern 1010... does at op 7213."""
+
+    AMP_TOL = 1e-8
+
+    @pytest.mark.parametrize("n", [pytest.param(n, marks=pytest.mark.xfail(
+        raises=NormDriftError, strict=True,
+        reason="ROADMAP item 10: 00111011111010 drifts at op 6813"))
+        if n == 14 else n for n in range(2, 17, 2)])
+    def test_amplitudes_match_the_closed_form(self, n):
+        rng = random.Random(n)
+        marked = "".join(rng.choice("01") for _ in range(n))
+        m = int(marked, 2)
+        others = [k + (k >= m) for k in
+                  (rng.randrange((1 << n) - 1) for _ in range(8))]
+        circuit = gen_grover(n, marked)
+        iters = grover_iterations(n)
+        step = (len(circuit.ops) - n) // iters
+        seen = []
+
+        def read(uni, state, i):
+            if i >= n - 1 and (i - n + 1) % step == 0:
+                seen.append([abs(uni.read_amplitude(state, n, j))
+                             for j in [m, *others]])
+
+        run(circuit, on_op=read)
+        assert len(seen) == iters + 1
+        theta = math.asin(2 ** (-n / 2))
+        for k, (got_m, *got) in enumerate(seen):
+            angle = (2 * k + 1) * theta
+            assert abs(got_m - abs(math.sin(angle))) <= self.AMP_TOL, k
+            want = abs(math.cos(angle)) / math.sqrt(2 ** n - 1)
+            assert max(abs(g - want) for g in got) <= self.AMP_TOL, k
 
 
 class TestCollectorPause:

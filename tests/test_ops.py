@@ -95,8 +95,16 @@ class TestKron:
                            atol=1e-12)
 
     def test_zero_operand(self, uni):
-        a = uni.build_matrix([[1, 0], [0, 1]])
-        assert kron(uni, a, uni.zero_edge) == uni.zero_edge
+        # kron has no zero test: cmul gives the zero handle, and _edge
+        # the zero edge, whichever side is zero
+        zero = uni.zero_edge
+        for x in (uni.build_matrix([[1, 0], [0, 1]]),
+                  uni.build_vector([S, 0, 0.5j, -0.5]),
+                  uni.build_matrix([[S, S], [S, -S]]),
+                  build_gate_dd(uni, 3, GateSpec(GateKind.X, 2, {0}))):
+            for a, b in ((x, zero), (zero, x)):
+                got = kron(uni, a, b)
+                assert got.w is uni.ctab.zero and got.node is TERMINAL
 
     def test_leaves_no_cyclic_garbage(self, uni):
         a = uni.build_matrix([[S, S], [S, -S]])

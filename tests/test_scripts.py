@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -131,3 +132,28 @@ def test_bench_record_writes_the_file(tmp_path, monkeypatch):
     with pytest.raises(SystemExit, match="no detail and result line"):
         bench_record.main(["--label", "u"])
     assert not (tmp_path / "BENCH_u.json").exists()
+
+
+def perfbench_passed(stdin: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "perfbench_passed.py")],
+        input=stdin, capture_output=True, text=True, timeout=60)
+
+
+def test_perfbench_passed_accepts_a_correct_run():
+    out = canned_run(0, 1.0)
+    got = perfbench_passed(out)
+    assert (got.returncode, got.stdout) == (0, out)
+
+
+@pytest.mark.parametrize("out", [
+    canned_run(0, 1.0, skip="wall_s"),  # "correct": false
+    canned_run(0, 1.0, failed=1),
+    canned_run(0, 1.0) + "0.25 s\n",
+    "",
+], ids=["incorrect", "failed", "not-json", "empty"])
+def test_perfbench_passed_rejects_other_runs(out):
+    got = perfbench_passed(out)
+    assert got.returncode != 0
+    assert got.stdout == (out or "\n")  # print() echoes no lines as one
+    assert '"correct": true' in got.stderr
