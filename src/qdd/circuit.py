@@ -22,8 +22,8 @@ import math
 import re
 from dataclasses import dataclass
 
-from .dd import _check_bits
-from .gates import _FIXED, GateKind, GateSpec, _qubit_index
+from .dd import _check_bits, _qubit_index
+from .gates import _FIXED, GateKind, GateSpec
 
 
 @dataclass(frozen=True)
@@ -211,6 +211,7 @@ def serialize(circuit: Circuit) -> str:
 
 def gen_entangle(n: int) -> Circuit:
     """H then a CNOT chain: final state (|0...0> + |1...1>)/sqrt(2)."""
+    n = _qubit_index(n, "count")
     ops: list[CircuitOp] = [GateOp(GateSpec(GateKind.H, 0))]
     for q in range(n - 1):
         ops.append(GateOp(GateSpec(GateKind.X, q + 1, frozenset({q}))))

@@ -1,14 +1,15 @@
 """Command-line front-end: run circuit files, generated benchmarks, and
 DOT renderings. Reports are a single JSON object on stdout.
 
-Exit codes: 0 success, 2 unusable input or --stats-json path or out of
-memory, 3 norm drift.
+Exit codes: 0 success, 2 unusable input or --stats-json path, a closed
+stdout or out of memory, 3 norm drift.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -113,7 +114,7 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
         except OSError as err:
             raise ValueError(f"cannot write {args.stats_json}: "
                              f"{err.strerror}") from None
-    print(text)
+    print(text, flush=True)  # a closed pipe raises here, not at exit
 
 
 def _run_and_report(circuit: Circuit, args: argparse.Namespace) -> int:
@@ -152,7 +153,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                            for _ in range(n))
         circuit = gen_qft(n, bits)
     else:
-        circuit = gen_grover(n, args.marked if args.marked else "1" * n)
+        marked = "1" * n if args.marked is None else args.marked
+        circuit = gen_grover(n, marked)
     return _run_and_report(circuit, args)
 
 
@@ -170,7 +172,7 @@ def _cmd_dot(args: argparse.Namespace) -> int:
             raise ValueError(f"gate index {args.gate} out of range "
                              f"({len(gate_ops)} gate ops)")
         edge = build_gate_dd(Universe(), n, gate_ops[args.gate].spec)
-    print(export_dot(edge))
+    print(export_dot(edge), flush=True)
     return 0
 
 
@@ -178,6 +180,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the rest of the output goes nowhere, so the exit flush succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: cannot write the report: broken pipe", file=sys.stderr)
+        return 2
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2

@@ -48,6 +48,7 @@ meaningful within the universe that created them.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, NamedTuple, Sequence
 
 from .cvalue import ComplexTable, ComplexValue
@@ -248,25 +249,26 @@ class Universe:
             raise ValueError(f"length {size} is not a power of two")
         return Edge(*_build(self, (amplitudes,), 0, 0, size, 2))
 
-    def _check_width(self, e: Edge, n: int) -> None:
-        if e.w is not self.ctab.zero and e.node.height != n - 1:
-            raise ValueError(f"diagram has {e.node.height + 1} qubits, not {n}")
-
-    def _check_root(self, e: tuple, arity: int = 0) -> None:
+    def _check_root(self, e: tuple, arity: int = 0, n=None):
         """Reject a root of the other kind than ``arity`` asks for (2, a
         vector, whose flat successor tuple counts 4; 4, a matrix, counting
         8; 0, either; the terminal is neither), and a matrix root that is
-        not its own unique-table entry."""
+        not its own unique-table entry; a given qubit count ``n`` must be
+        an integer (_qubit_index) that a nonzero root spans, returned."""
         node = e[1]
-        if node is TERMINAL:
-            return
-        if arity and len(node.succ) != 2 * arity:
-            kind = "vector" if arity == 2 else "matrix"
-            raise ValueError(f"not a {kind} diagram")
-        if len(node.succ) == 8 and self._table.get(node.succ) is not node:
-            raise ValueError("not a full matrix diagram: an engine gate "
-                             "diagram (build_gate_dd gives the full one), or "
-                             "one that gc_collect swept")
+        if node is not TERMINAL:
+            if arity and len(node.succ) != 2 * arity:
+                kind = "vector" if arity == 2 else "matrix"
+                raise ValueError(f"not a {kind} diagram")
+            if len(node.succ) == 8 and self._table.get(node.succ) is not node:
+                raise ValueError("not a full matrix diagram: an engine gate "
+                                 "diagram (build_gate_dd gives the full one), "
+                                 "or one that gc_collect swept")
+        if n is not None:
+            n = _qubit_index(n, "count")
+            if e[0] is not self.ctab.zero and node.height != n - 1:
+                raise ValueError(f"diagram has {node.height + 1} qubits, not {n}")
+        return n
 
     def read_amplitude(self, v: Edge, n: int, index: int) -> complex:
         """Amplitude of basis state ``index``: the path weight product."""
@@ -274,10 +276,9 @@ class Universe:
 
     def read_dense(self, v: Edge, n: int) -> list[complex]:
         """Expand a vector diagram back to its 2^n amplitudes (n <= 20)."""
-        if n > 20:
+        if _qubit_index(n, "count") > 20:
             raise ValueError(f"read_dense caps at 20 qubits, got {n}")
-        self._check_root(v, 2)
-        self._check_width(v, n)
+        n = self._check_root(v, 2, n)
         out = [0j] * (1 << n)
         _fill_dense(out, v, 0, 1.0 + 0j)
         return out
@@ -300,12 +301,11 @@ class Universe:
     def _read_path(self, e: Edge, n: int, row: int, col: int,
                    arity: int) -> complex:
         """Path weight product to entry (row, col); a vector's row is 0."""
-        dim = 1 << n
+        dim = 1 << _qubit_index(n, "count")
         if not (0 <= row < dim and 0 <= col < dim):
             at = f"index {col}" if arity == 2 else f"entry ({row}, {col})"
             raise ValueError(f"{at} out of range for {n} qubits")
-        self._check_root(e, arity)
-        self._check_width(e, n)
+        self._check_root(e, arity, n)
         w = complex(e.w)
         node = e.node
         while node is not TERMINAL and w != 0:
@@ -330,8 +330,19 @@ class Universe:
         return before - len(self._table)
 
 
+def _qubit_index(q, what: str = "index") -> int:
+    """q as a plain int (numpy integers included); ValueError otherwise,
+    a bool included, naming q the qubit ``what``: an index or a count."""
+    try:
+        if not isinstance(q, bool):
+            return operator.index(q)
+    except TypeError:
+        pass
+    raise ValueError(f"qubit {what} {q!r} is not an integer")
+
+
 def _check_bits(n: int, bits: str) -> None:
-    if len(bits) != n or any(b not in "01" for b in bits):
+    if len(bits) != _qubit_index(n, "count") or set(bits) - set("01"):
         raise ValueError(f"need a length-{n} bitstring, got {bits!r}")
 
 

@@ -59,22 +59,6 @@ def zero_state(n: int) -> np.ndarray:
     return v
 
 
-def basis_state(n: int, bits: str) -> np.ndarray:
-    _check_qubits(n)
-    v = np.zeros(1 << n, dtype=complex)
-    v[int(bits, 2)] = 1.0
-    return v
-
-
-def apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product; the textbook sum over columns."""
-    return np.asarray(m) @ np.asarray(v)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def controlled_gate(n: int, spec: GateSpec) -> np.ndarray:
     """Full 2^n x 2^n matrix for a (multi-)controlled single-qubit gate.
 
@@ -108,18 +92,10 @@ def run_circuit(circuit: Circuit) -> np.ndarray:
     Measurement operations are rejected; the oracle exists to pin down
     pre-measurement amplitudes.
     """
-    _check_qubits(circuit.n_qubits)
     v = zero_state(circuit.n_qubits)
     for op in circuit.ops:
         if not isinstance(op, GateOp):
             raise ValueError(f"dense oracle cannot execute {op!r}")
-        v = apply(controlled_gate(circuit.n_qubits, op.spec), v)
+        v = controlled_gate(circuit.n_qubits, op.spec) @ v
     return v
 
-
-def measure_distribution(v: np.ndarray) -> dict[str, float]:
-    """Map each basis state with nonzero amplitude to its probability."""
-    v = np.asarray(v)
-    n = int(v.size).bit_length() - 1
-    probs = np.abs(v) ** 2
-    return {format(i, f"0{n}b"): float(p) for i, p in enumerate(probs) if p > 0.0}

@@ -31,12 +31,11 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .cvalue import SQRT2_INV
-from .dd import TERMINAL, Edge, Universe
+from .dd import TERMINAL, Edge, Universe, _qubit_index
 
 
 class GateKind(Enum):
@@ -64,17 +63,6 @@ _FIXED = {
     GateKind.T: ((1 + 0j, 0j), (0j, cmath.exp(1j * math.pi / 4))),
     GateKind.TDG: ((1 + 0j, 0j), (0j, cmath.exp(-1j * math.pi / 4))),
 }
-
-
-def _qubit_index(q, what: str = "index") -> int:
-    """q as a plain int (numpy integers included); ValueError otherwise,
-    a bool included, naming q the qubit ``what``: an index or a count."""
-    try:
-        if not isinstance(q, bool):
-            return operator.index(q)
-    except TypeError:
-        pass
-    raise ValueError(f"qubit {what} {q!r} is not an integer")
 
 
 def _finite_real(x) -> bool:

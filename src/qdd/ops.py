@@ -26,8 +26,7 @@ from __future__ import annotations
 import math
 
 from .cvalue import ComplexValue, magnitude_squared
-from .dd import Edge, TERMINAL, Universe
-from .gates import _qubit_index
+from .dd import Edge, TERMINAL, Universe, _qubit_index
 
 PROB_TOL = 1e-8
 
@@ -337,8 +336,8 @@ def measure_all(uni: Universe, v: Edge, rng) -> str:
     """Sample one full bitstring from |psi|^2.
 
     Equivalent to measuring the top qubit and recursing into the observed
-    branch, qubit by qubit; the conditional split at each node is its two
-    branch masses over the node's, memoized per node in the compute
+    branch, qubit by qubit; the conditional split at each node is its |0>
+    branch's mass over the node's own, memoized per node in the compute
     cache. One uniform draw per qubit.
     """
     uni._check_root(v, 2)
@@ -353,9 +352,8 @@ def measure_all(uni: Universe, v: Edge, rng) -> str:
         w0, n0, w1, n1 = node.succ
         p0_share = branch.get(node)
         if p0_share is None:
-            p0 = magnitude_squared(w0) * n0.mass
-            p1 = magnitude_squared(w1) * n1.mass
-            p0_share = branch[node] = p0 / (p0 + p1)
+            p0_share = branch[node] = (magnitude_squared(w0) * n0.mass
+                                       / node.mass)
         if rng.random() < p0_share:
             bits.append("0")
             node = n0

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import qdd.cli as cli
 from qdd import NormDriftError
@@ -279,6 +280,22 @@ class TestRunCommand:
         assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_exits_2_without_traceback(unbuffered):
+    # a pipe whose reader is gone: the write fails inside print when stdout
+    # is unbuffered, else at the flush
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qdd", "bench", "qft", "12", "--shots", "50"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered})
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == "error: cannot write the report: broken pipe\n"
+
+
 class TestBenchCommand:
     def test_entangle(self, capsys):
         code, out, _ = invoke(capsys, "bench", "entangle", "16",
@@ -312,6 +329,12 @@ class TestBenchCommand:
         assert code == 0
         report = json.loads(out)
         assert report["histogram"].get("110010", 0) >= 45
+
+    def test_grover_empty_marked_exit_2(self, capsys):
+        # an empty --marked is a bad bitstring, not the all-ones default
+        code, out, err = invoke(capsys, "bench", "grover", "6", "--marked", "")
+        assert (code, out) == (2, "")
+        assert err == "error: need a length-6 bitstring, got ''\n"
 
     def test_bad_family_args_exit_2(self, capsys):
         code, _, err = invoke(capsys, "bench", "grover", "6", "--marked", "10")

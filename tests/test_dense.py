@@ -12,49 +12,6 @@ CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
                 dtype=complex)
 
 
-def test_apply_cnot_flips_target():
-    v = dense.basis_state(2, "11")
-    out = dense.apply(CNOT, v)
-    assert np.array_equal(out, dense.basis_state(2, "10"))
-
-
-def test_apply_identity():
-    v = dense.basis_state(2, "01")
-    assert np.array_equal(dense.apply(np.eye(4), v), v)
-
-
-def test_apply_matches_manual_expansion():
-    rng = np.random.default_rng(0)
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    manual = np.array([sum(m[i, k] * v[k] for k in range(4)) for i in range(4)])
-    assert np.allclose(dense.apply(m, v), manual, atol=1e-12)
-
-
-def test_kron_h_with_identity():
-    h = dense.gate_matrix(GateKind.H)
-    got = dense.kron(h, np.eye(2))
-    want = S * np.array([[1, 0, 1, 0], [0, 1, 0, 1],
-                         [1, 0, -1, 0], [0, 1, 0, -1]])
-    assert np.allclose(got, want, atol=1e-15)
-
-
-def test_kron_with_scalar_one():
-    a = np.array([[1, 2], [3, 4]], dtype=complex)
-    assert np.array_equal(dense.kron(a, np.array([[1]])), a)
-
-
-def test_kron_matches_definition():
-    rng = np.random.default_rng(1)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    got = dense.kron(a, b)
-    for i in range(2):
-        for j in range(2):
-            assert np.allclose(got[2 * i:2 * i + 2, 2 * j:2 * j + 2],
-                               a[i, j] * b, atol=1e-12)
-
-
 def test_controlled_gate_cnot():
     got = dense.controlled_gate(2, GateSpec(GateKind.X, 1, frozenset({0})))
     assert np.array_equal(got, CNOT)
@@ -63,7 +20,7 @@ def test_controlled_gate_cnot():
 def test_controlled_gate_no_controls_is_kron_padding():
     h = dense.gate_matrix(GateKind.H)
     got = dense.controlled_gate(2, GateSpec(GateKind.H, 0))
-    assert np.allclose(got, dense.kron(h, np.eye(2)), atol=1e-15)
+    assert np.allclose(got, np.kron(h, np.eye(2)), atol=1e-15)
 
 
 def test_toffoli_is_a_permutation():
@@ -78,23 +35,6 @@ def test_control_below_target():
     want = np.eye(4)
     want[[1, 3]] = want[[3, 1]]
     assert np.array_equal(got, want)
-
-
-def test_measure_distribution_bell():
-    bell = np.array([S, 0, 0, S])
-    assert dense.measure_distribution(bell) == {
-        "00": pytest.approx(0.5), "11": pytest.approx(0.5)}
-
-
-def test_measure_distribution_basis_state():
-    assert dense.measure_distribution(dense.basis_state(3, "101")) == {"101": 1.0}
-
-
-def test_measure_distribution_sums_to_one():
-    rng = np.random.default_rng(9)
-    v = rng.normal(size=32) + 1j * rng.normal(size=32)
-    v /= np.linalg.norm(v)
-    assert sum(dense.measure_distribution(v).values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_run_circuit_bell():

@@ -14,8 +14,9 @@ import qdd.dense as dense
 from qdd import (TERMINAL, Circuit, Edge, EngineConfig, GateKind, GateOp,
                  GateSpec, MeasureAllOp, NormDriftError, SimStats, Universe,
                  add, build_gate_dd, count_nodes, gate_dd_for, gen_entangle,
-                 gen_grover, gen_qft, grover_iterations, identity_dd, kron, measure_qubit, measure_top,
-                 multiply, parse, run, sample)
+                 gen_grover, gen_qft, grover_iterations, identity_dd, kron,
+                 measure_all, measure_qubit, measure_top, multiply, parse,
+                 run, sample)
 
 from _util import (cyclic_garbage, dft_matrix, flat_key, random_circuit,
                    random_gate_spec)
@@ -367,6 +368,63 @@ class TestGroverClosedForm:
             assert abs(got_m - abs(math.sin(angle))) <= self.AMP_TOL, k
             want = abs(math.cos(angle)) / math.sqrt(2 ** n - 1)
             assert max(abs(g - want) for g in got) <= self.AMP_TOL, k
+
+
+class TestRelabelMetamorphic:
+    """Relabelling the qubits by a permutation π moves amplitude i of a
+    circuit's state to index π(i), bit q of i moved to bit π(q), while
+    the diagrams and their weights differ (MorphQ, ICSE 2023). The rule,
+    fixed before the first run: for n in 20, 32, 48 and 60, 2n gates
+    from random.Random(f"relabel/{n}"), each drawing r, then a qubit pair
+    (c, t): H on t (r < 0.25), T on t (< 0.5), RK with k from 2 to 5 on
+    t controlled by c (< 0.65), else CX; then π from the same generator.
+    The indices are 48 measure_all draws from the original state with
+    random.Random(n), then 16 uniform ones, within AMP_TOL."""
+
+    AMP_TOL = 1e-8
+
+    @pytest.mark.parametrize("n", [20, 32, 48, 60])
+    def test_relabelled_amplitudes_match(self, n):
+        rng = random.Random(f"relabel/{n}")
+        specs = []
+        for _ in range(2 * n):
+            r = rng.random()
+            c, t = rng.sample(range(n), 2)
+            if r < 0.25:
+                specs.append(GateSpec(GateKind.H, t))
+            elif r < 0.5:
+                specs.append(GateSpec(GateKind.T, t))
+            elif r < 0.65:
+                specs.append(GateSpec(GateKind.RK, t, frozenset({c}),
+                                      param=rng.randint(2, 5)))
+            else:
+                specs.append(GateSpec(GateKind.X, t, frozenset({c})))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        relabelled = [dataclasses.replace(
+            s, target=perm[s.target],
+            controls=frozenset(perm[c] for c in s.controls)) for s in specs]
+
+        def simulate(gate_specs):
+            unis = []
+            state, _ = run(Circuit(n, tuple(map(GateOp, gate_specs))),
+                           on_op=lambda uni, state, i: unis.append(uni))
+            return unis[0], state
+
+        uni, state = simulate(specs)
+        uni_p, state_p = simulate(relabelled)
+        draw = random.Random(n)
+        indices = [int(measure_all(uni, state, draw), 2) for _ in range(48)]
+        indices += [draw.randrange(1 << n) for _ in range(16)]
+        for i in indices:
+            bits = format(i, f"0{n}b")
+            moved = [""] * n
+            for q, b in enumerate(bits):
+                moved[perm[q]] = b
+            j = int("".join(moved), 2)
+            got = uni_p.read_amplitude(state_p, n, j)
+            want = uni.read_amplitude(state, n, i)
+            assert abs(got - want) <= self.AMP_TOL, (i, got, want)
 
 
 class TestCollectorPause:

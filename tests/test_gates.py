@@ -7,8 +7,9 @@ import pytest
 
 import qdd.dense as dense
 from qdd import (TERMINAL, Circuit, GateKind, GateSpec, MeasureOp, Universe,
-                 base2x2, build_gate_dd, count_nodes, gate_dd_for, identity_dd,
-                 measure_qubit, multiply, norm_squared)
+                 base2x2, build_gate_dd, count_nodes, gate_dd_for,
+                 gen_entangle, gen_grover, gen_qft, identity_dd, measure_qubit,
+                 multiply, norm_squared)
 
 from _util import (assert_interned, dd_matrix_to_array, dd_to_array,
                    random_gate_spec, random_state)
@@ -493,7 +494,7 @@ class TestEngineGateDD:
         assert uni.cache.gates == {}
 
 
-@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("flag", [True, False, 3.0])
 @pytest.mark.parametrize("make", [
     lambda uni, q: GateSpec(GateKind.X, q),
     lambda uni, q: GateSpec(GateKind.X, 2, frozenset({q})),
@@ -503,9 +504,19 @@ class TestEngineGateDD:
                                  np.random.default_rng(0)),
     lambda uni, q: identity_dd(uni, q),
     lambda uni, q: build_gate_dd(uni, q, GateSpec(GateKind.H, 0)),
+    lambda uni, q: uni.basis_state(q, "000"),
+    lambda uni, q: uni.read_amplitude(uni.basis_state(3, "000"), q, 0),
+    lambda uni, q: uni.read_dense(uni.basis_state(3, "000"), q),
+    lambda uni, q: uni.read_matrix_entry(identity_dd(uni, 3), q, 0, 0),
+    lambda uni, q: gen_qft(q, "000"),
+    lambda uni, q: gen_grover(q, "00"),
+    lambda uni, q: gen_entangle(q),
 ], ids=["target", "control", "measure", "circuit", "measure_qubit",
-        "identity_dd", "build_gate_dd"])
+        "identity_dd", "build_gate_dd", "basis_state", "read_amplitude",
+        "read_dense", "read_matrix_entry", "gen_qft", "gen_grover",
+        "gen_entangle"])
 def test_bool_is_no_qubit_index_or_count(uni, make, flag):
-    # a bool is an int to operator.index, but never a qubit
+    # a bool is an int to operator.index, but never a qubit, and a float
+    # is no qubit even when it holds an integer
     with pytest.raises(ValueError, match=f"qubit (index|count) {flag} is not"):
         make(uni, flag)

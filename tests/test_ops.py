@@ -741,9 +741,9 @@ class TestMeasureAll:
         for _ in range(shots):
             b = measure_all(uni, v, rng)
             counts[b] = counts.get(b, 0) + 1
-        probs = dense.measure_distribution(a)
-        tvd = 0.5 * sum(abs(counts.get(k, 0) / shots - probs.get(k, 0.0))
-                        for k in set(counts) | set(probs))
+        probs = np.abs(a) ** 2
+        tvd = 0.5 * sum(abs(counts.get(format(i, "03b"), 0) / shots - p)
+                        for i, p in enumerate(probs))
         assert tvd < 0.01
 
     def test_norm_drift_detected(self, uni):

@@ -2,13 +2,17 @@
 
 import importlib.util
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qdd
+import qdd.cli
+import qdd.dense
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,6 +46,30 @@ def test_report_digests_circuits_use_every_gate_word():
     texts.append(digests.certain_circuit(digests.CERTAIN))
     words = {line.split()[0] for text in texts for line in text.splitlines()}
     assert words >= {*qdd.circuit._GATES, "measure", "measure_all"}
+
+
+replay = load(ROOT / "perfbench" / "replay.py")
+
+MID_CIRCUIT = "qubits 5\nh 0\ncx 0 1\nt 1\nh 2\nmeasure 2\ncx 2 3\nh 4\n"
+
+
+def test_perfbench_replay_reproduces_the_engine():
+    # perfbench's in-process half, on the package calls it reads
+    circuit = qdd.parse(MID_CIRCUIT)
+    cfg = qdd.EngineConfig(seed=3, shots=20)
+    rep = replay.replay(circuit, cfg.seed, cfg.shots, replay.Tracer())
+    report = qdd.cli._report(circuit, cfg, qdd.sample(circuit, cfg))
+    counters = []
+    qdd.run(circuit, cfg, on_op=lambda uni, state, i: counters.append(
+        (uni.cache.ops_count, uni.live_nodes)))
+    replay.check_against(rep, report, counters)
+    assert len(counters) == len(circuit.ops) and rep.measure_calls > 20
+
+
+def test_perfbench_dense_state_is_the_dense_oracle():
+    circuit = workloads.gen_clifford_t(random.Random(0), 5, 60, "c")
+    want = qdd.dense.run_circuit(circuit)
+    assert np.max(np.abs(workloads.dense_state(circuit) - want)) < 1e-12
 
 
 bench_record = load(ROOT / "scripts" / "bench_record.py")
