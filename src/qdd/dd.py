@@ -62,8 +62,12 @@ class Node:
     gate node's key is (height, succ)); ``edges`` returns them as Edge
     views. ``mass``, the summed |w|^2 * (successor's mass) in edge order,
     is a vector node's probability mass, set here (the terminal's is 1).
-    ``size`` and ``levels`` memoize count_nodes and qdd.ops._levels; a
-    node's successors never change, so none of the three goes stale."""
+    ``size`` is set here to a bound on count_nodes' count from this node:
+    1 plus the abs(size) of each distinct successor (the terminal's is 0).
+    count_nodes replaces it with the count, negated, so that a small bound
+    stays one of Python's shared small ints (0 to 256), not an int object
+    per node. ``levels`` memoizes qdd.ops._levels. A node's successors
+    never change, so none of the four goes stale."""
 
     __slots__ = ("height", "succ", "idx", "size", "levels", "mass")
 
@@ -71,7 +75,6 @@ class Node:
         self.height = height
         self.succ = succ
         self.idx = idx
-        self.size = 0  # count_nodes memo; 0 until first counted
         self.levels = None  # _levels memo; None until first asked
         mass = 0.0  # a plain sum: 3.12's sum() of floats is compensated
         for i in range(0, len(succ), 2):
@@ -79,6 +82,12 @@ class Node:
             if w:
                 mass += (w.real * w.real + w.imag * w.imag) * succ[i + 1].mass
         self.mass = mass
+        if len(succ) == 4:
+            n0, n1 = succ[1], succ[3]
+            below = abs(n0.size) + (abs(n1.size) if n1 is not n0 else 0)
+        else:
+            below = sum(abs(nd.size) for nd in set(succ[1::2]))
+        self.size = 1 + below
 
     @property
     def edges(self) -> tuple["Edge", ...]:
@@ -90,9 +99,11 @@ class Node:
 
 
 # The unique sink, a 1-dimensional vector / 1x1 matrix holding 1: height
-# -1, no successors, probability mass 1 and no levels below it.
+# -1, no successors, probability mass 1, no node below it to count and no
+# levels below it.
 TERMINAL = Node(-1, (), -1)
 TERMINAL.mass = 1.0
+TERMINAL.size = 0
 TERMINAL.levels = (0, 0)
 
 
@@ -332,10 +343,14 @@ class Universe:
 
 def _qubit_index(q, what: str = "index") -> int:
     """q as a plain int (numpy integers included); ValueError otherwise,
-    a bool included, naming q the qubit ``what``: an index or a count."""
+    a bool included, naming q the qubit ``what``: an index or a count,
+    which must also be nonnegative."""
     try:
         if not isinstance(q, bool):
-            return operator.index(q)
+            q = operator.index(q)
+            if q < 0 and what == "count":
+                raise ValueError(f"qubit count {q} must be nonnegative")
+            return q
     except TypeError:
         pass
     raise ValueError(f"qubit {what} {q!r} is not an integer")
@@ -399,11 +414,13 @@ def _reachable(roots: Iterable[Edge]) -> dict[Node, None]:
 
 
 def count_nodes(edge: Edge) -> int:
-    """Number of distinct nonterminal nodes reachable from ``edge``,
-    memoized on the root node, whose successors never change."""
-    if not edge.node.size:
-        edge.node.size = len(_reachable((edge,)))
-    return edge.node.size
+    """Number of distinct nonterminal nodes reachable from ``edge``. The
+    root's ``size`` keeps it, negated, once counted; until then it holds
+    the bound Node.__init__ set (the terminal's 0 is exact)."""
+    node = edge.node
+    if node.size > 0:
+        node.size = -len(_reachable((edge,)))
+    return -node.size
 
 
 def _format_weight(w: ComplexValue) -> str:

@@ -74,8 +74,11 @@ def _execute(uni: Universe, n: int, ops, rng: random.Random,
     ``on_op(uni, state, i)`` is called after each op.
     """
     def note_peaks() -> None:
-        stats.peak_vector_nodes = max(stats.peak_vector_nodes,
-                                      count_nodes(state))
+        # a count never exceeds its node's bound, abs(size): a state whose
+        # bound is at most the peak cannot raise it, and goes uncounted
+        if abs(state[1].size) > stats.peak_vector_nodes:
+            stats.peak_vector_nodes = max(stats.peak_vector_nodes,
+                                          count_nodes(state))
         stats.peak_unique_nodes = max(stats.peak_unique_nodes,
                                       uni.live_nodes)
 

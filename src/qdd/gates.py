@@ -125,8 +125,6 @@ def _unitary(spec: GateSpec):
 def identity_dd(uni: Universe, n: int) -> Edge:
     """Identity over n qubits: n diagonal nodes, shared per universe."""
     n = _qubit_index(n, "count")
-    if n < 0:
-        raise ValueError("qubit count must be nonnegative")
     return Edge(*_full(uni, (uni.ctab.one, TERMINAL), n))
 
 

@@ -12,11 +12,11 @@ import qdd.cli as cli
 import qdd.dd as dd
 import qdd.dense as dense
 from qdd import (TERMINAL, Circuit, Edge, EngineConfig, GateKind, GateOp,
-                 GateSpec, MeasureAllOp, NormDriftError, SimStats, Universe,
-                 add, build_gate_dd, count_nodes, gate_dd_for, gen_entangle,
-                 gen_grover, gen_qft, grover_iterations, identity_dd, kron,
-                 measure_all, measure_qubit, measure_top, multiply, parse,
-                 run, sample)
+                 GateSpec, MeasureAllOp, MeasureOp, NormDriftError, SimStats,
+                 Universe, add, build_gate_dd, count_nodes, gate_dd_for,
+                 gen_entangle, gen_grover, gen_qft, grover_iterations,
+                 identity_dd, kron, measure_all, measure_qubit, measure_top,
+                 multiply, parse, run, sample)
 
 from _util import (cyclic_garbage, dft_matrix, flat_key, random_circuit,
                    random_gate_spec)
@@ -113,6 +113,44 @@ class TestPeaks:
         state, stats = run(c)
         assert stats.peak_vector_nodes >= count_nodes(state)
         assert stats.gates_applied == 25
+
+    @staticmethod
+    def measured_circuit(seed: int, n: int = 6) -> Circuit:
+        """H on every qubit, so that controlled gates entangle, then a
+        random circuit with a measurement after every fifth gate."""
+        rng = np.random.default_rng(seed)
+        ops = [GateOp(GateSpec(GateKind.H, q)) for q in range(n)]
+        for i, op in enumerate(random_circuit(rng, n, 40).ops):
+            ops.append(op)
+            if i % 5 == 4:
+                ops.append(MeasureOp(int(rng.integers(n))))
+        return Circuit(n, ops)
+
+    @pytest.mark.parametrize("threshold", [1_000_000, 20])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_peak_is_the_largest_walked_state(self, monkeypatch, seed,
+                                              threshold):
+        # the engine counts a state only when its bound exceeds the peak;
+        # the peak must still be the exact maximum over every state, the
+        # initial |0...0> (n nodes) and each state after an op, in run and
+        # in a re-simulating sample alike
+        import qdd.engine as engine
+        c = self.measured_circuit(seed)
+        walked = [c.n_qubits]
+        execute = engine._execute
+
+        def walk(uni, state, i):
+            walked.append(_replay_walk((state,)))
+        _, stats = run(c, EngineConfig(seed=seed, gc_threshold=threshold),
+                       on_op=walk)
+        assert stats.peak_vector_nodes == max(walked)
+        walked[1:] = []
+        monkeypatch.setattr(engine, "_execute",
+                            lambda *args: execute(*args, walk))
+        stats = sample(c, EngineConfig(seed=seed, shots=8,
+                                       gc_threshold=threshold))
+        assert len(walked) == 1 + 8 * len(c.ops)
+        assert stats.peak_vector_nodes == max(walked) > c.n_qubits
 
 
 class TestSample:

@@ -274,7 +274,7 @@ class TestBuildGateDD:
     def test_negative_qubit_count_rejected(self, uni):
         with pytest.raises(ValueError) as err:
             identity_dd(uni, -1)
-        assert str(err.value) == "qubit count must be nonnegative"
+        assert str(err.value) == "qubit count -1 must be nonnegative"
 
     def test_numpy_integer_qubit_count_accepted(self, uni):
         spec = GateSpec(GateKind.X, 0)
@@ -520,3 +520,24 @@ def test_bool_is_no_qubit_index_or_count(uni, make, flag):
     # is no qubit even when it holds an integer
     with pytest.raises(ValueError, match=f"qubit (index|count) {flag} is not"):
         make(uni, flag)
+
+
+@pytest.mark.parametrize("make", [
+    lambda uni, n: uni.read_amplitude(uni.zero_edge, n, 0),
+    lambda uni, n: uni.read_dense(uni.zero_edge, n),
+    lambda uni, n: uni.read_matrix_entry(uni.zero_edge, n, 0, 0),
+    lambda uni, n: uni.basis_state(n, ""),
+    lambda uni, n: gen_qft(n, ""),
+    lambda uni, n: gen_grover(n, ""),
+    lambda uni, n: gen_entangle(n),
+    lambda uni, n: Circuit(n),
+], ids=["read_amplitude", "read_dense", "read_matrix_entry", "basis_state",
+        "gen_qft", "gen_grover", "gen_entangle", "circuit"])
+@pytest.mark.parametrize("n", [-1, -2, np.int64(-3)])
+def test_negative_qubit_count_is_named(uni, make, n):
+    # not "negative shift count" from 1 << n, nor "need a length--1
+    # bitstring": the message names the count
+    with pytest.raises(ValueError) as err:
+        make(uni, n)
+    assert str(err.value) == f"qubit count {int(n)} must be nonnegative"
+    assert uni.live_nodes == 0

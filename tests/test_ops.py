@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 import qdd.dense as dense
-from qdd import (Circuit, EngineConfig, GateKind, GateSpec, MeasureAllOp,
-                 MeasureOp, TERMINAL, Universe, add, build_gate_dd,
-                 count_nodes, gate_dd_for, identity_dd, kron, measure_all,
-                 measure_qubit, measure_top, multiply, norm_squared,
-                 qubit_probabilities, run, NormDriftError)
+from qdd import (Circuit, Edge, EngineConfig, GateKind, GateSpec,
+                 MeasureAllOp, MeasureOp, TERMINAL, Universe, add,
+                 build_gate_dd, count_nodes, gate_dd_for, identity_dd, kron,
+                 measure_all, measure_qubit, measure_top, multiply,
+                 norm_squared, qubit_probabilities, run, NormDriftError)
 from qdd.ops import _levels
 
 from _util import (assert_interned, assert_valid_state, cyclic_garbage,
@@ -414,6 +414,69 @@ class TestNodeMass:
             on_op=check)
         assert len(live) == len(ops)
         assert max(live) > 20  # so the collector swept the table
+
+
+def _walked(node) -> int:
+    """The count of distinct nonterminal nodes at or below ``node``."""
+    seen: set = set()
+    stack = [node]
+    while stack:
+        nd = stack.pop()
+        if nd is not TERMINAL and nd not in seen:
+            seen.add(nd)
+            stack.extend(nd.succ[1::2])
+    return len(seen)
+
+
+def assert_count_bounds(uni: Universe) -> None:
+    """Every stored node's size bounds its walked count, or, once
+    count_nodes has counted it, is that count negated; count_nodes then
+    returns the count and stores it."""
+    nodes = list(uni._table.values())
+    counts = [_walked(node) for node in nodes]
+    for node, count in zip(nodes, counts):
+        assert node.size >= count or node.size == -count, node
+    for node, count in zip(nodes, counts):
+        assert count_nodes(Edge(uni.ctab.one, node)) == count == -node.size
+    assert TERMINAL.size == 0
+
+
+class TestNodeCountBound:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_vectors_and_matrices(self, uni, seed):
+        rng = np.random.default_rng(seed)
+        for n in (1, 3, 5):
+            a = random_state(rng, n)
+            uni.build_vector(list(a))
+            a[rng.random(a.size) < 0.4] = 0
+            uni.build_vector(list(a))
+            m = rng.normal(size=(1 << n, 1 << n))
+            uni.build_matrix(m.tolist())
+            m[rng.random(m.shape) < 0.4] = 0
+            uni.build_matrix(m.tolist())
+        # repeated halves share nodes, so the bound can exceed the count
+        uni.build_vector([0.6, 0.8] * 8)
+        assert_count_bounds(uni)
+
+    def test_engine_gate_nodes(self, uni):
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            gate_dd_for(uni, 6, random_gate_spec(rng, 6), {})
+        assert_count_bounds(uni)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_universe_of_a_measured_run(self, seed):
+        # counting part of the table mid-run leaves exact counts on nodes
+        # that later nodes build on
+        rng = np.random.default_rng(seed)
+        n = 5
+        ops = []
+        for i, op in enumerate(random_circuit(rng, n, 60).ops):
+            ops.append(op)
+            if i % 6 == 5:
+                ops.append(MeasureOp(int(rng.integers(n))))
+        run(Circuit(n, ops), EngineConfig(seed=seed, gc_threshold=20),
+            on_op=lambda uni, state, i: assert_count_bounds(uni))
 
 
 class TestQubitProbabilities:
